@@ -1,9 +1,8 @@
-"""Pure-numpy fallback for the compiled kernels.
+"""The batched integrand kernels, in numpy.
 
-Mirrors the signatures of the Cython module ``_kernels`` exactly: every
-function takes contiguous float64 arrays plus scalars and fills ``out``
-in place.  Selection between the two implementations happens in
-:mod:`ballgrad.backend`.
+Every function takes float64 arrays plus parameters and fills ``out``
+in place.  Callers reach this module through
+:func:`ballgrad.backend.get_backend`.
 """
 
 import numpy as np
@@ -37,7 +36,8 @@ def grad_dot_batch(cphi, sphi, u, r, n, ct, st, out):
         <grad_x P(x, zeta), v>
 
     at boundary points zeta with polar cosine ``cphi`` and azimuthal
-    cosine ``u`` (zeta_n = cphi, zeta_1 = sphi*u).
+    cosine ``u`` (zeta_n = cphi, zeta_1 = sphi*u).  ``u`` is a scalar or
+    an array shaped like ``cphi``.
     """
     cphi = np.asarray(cphi)
     sphi = np.asarray(sphi)

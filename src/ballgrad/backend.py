@@ -1,53 +1,18 @@
-"""Kernel backend selection.
+"""Where callers find the batched integrand kernels.
 
-The batched integrand kernels exist twice: a Cython extension
-(``ballgrad._kernels``) and a pure-numpy fallback (``_kernels_py``).
-At import time the compiled module is preferred when present; the
-environment variable ``BALLGRAD_BACKEND`` (``compiled`` or ``python``)
-overrides, and :func:`select` switches at runtime (used by the
-benchmark and the backend-equivalence tests).
+The kernels live in ``_kernels_py``.  ``kernelint`` and
+``poisson_oracle`` look them up through :func:`get_backend` at call
+time, so a wrapper installed on that one module (the layer tracer in
+``perfbench/``) sees every kernel call.
 """
-
-import os
 
 from . import _kernels_py
 
-_active = None
-
-
-def _load(name):
-    if name == "python":
-        return _kernels_py
-    if name == "compiled":
-        from . import _kernels  # may raise ImportError
-        return _kernels
-    raise ValueError(f"unknown backend {name!r} (expected 'compiled' or 'python')")
-
-
-def _default():
-    forced = os.environ.get("BALLGRAD_BACKEND")
-    if forced:
-        return _load(forced)
-    try:
-        return _load("compiled")
-    except ImportError:
-        return _kernels_py
-
 
 def get_backend():
-    """Return the active kernel module."""
-    global _active
-    if _active is None:
-        _active = _default()
-    return _active
+    """Return the kernel module."""
+    return _kernels_py
 
 
 def backend_name():
-    return get_backend().BACKEND_NAME
-
-
-def select(name):
-    """Force a backend by name; returns the module now active."""
-    global _active
-    _active = _load(name)
-    return _active
+    return _kernels_py.BACKEND_NAME

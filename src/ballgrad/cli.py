@@ -248,8 +248,8 @@ def _oracle_reports(args):
             worst_fd = max(worst_fd, abs(g[i] - fd) / (1.0 + abs(fd)))
     reports.append(proofcheck.VerificationReport(
         case_name="gradient_vs_fd", sample_desc="5 random (x, zeta) pairs",
-        worst_violation=worst_fd, worst_location=(), tolerance=1e-8,
-        passed=worst_fd <= 1e-8, seed=args.seed, method="central_fd",
+        worst_violation=float(worst_fd), worst_location=(), tolerance=1e-8,
+        passed=bool(worst_fd <= 1e-8), seed=args.seed, method="central_fd",
         note="analytic kernel gradient against finite differences"))
 
     v, _ = directional_constant_with_error(DirectionalQuery(2, 0.0, 0.0), sq)

@@ -11,11 +11,16 @@ query is canonicalized to x = r*e_n, v = cos(theta)*e_n + sin(theta)*e_1,
 and the (n-3)-sphere factor is integrated analytically, leaving a 2-D
 product quadrature (or plain Monte Carlo).
 
-The integrand has a kink where <grad P, v> changes sign; the product
-rule locates the sign-change curve per azimuthal node by bisection and
-splits the polar interval there, restoring high-order convergence.
+The integrand has a kink where <grad P, v> changes sign.  Along each
+azimuthal node the sign factor is a constant plus one sinusoid in the
+polar angle, so its zeros have a closed form; the product rule splits
+the polar interval there into three pieces (padding with zero-width
+ones), which restores high-order convergence.  A query is one numpy
+pass: one kernel call over every (azimuthal node, piece, polar node),
+with the Gauss rules built once per node count and cached.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,80 +91,88 @@ def poisson_gradient(x, zeta, n):
         - n * (1.0 - x @ x) * d / rho2 ** (n / 2.0 + 1.0)
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(m):
+    """Cached m-point Gauss-Legendre rule on [-1, 1], as read-only arrays."""
+    x, w = roots_legendre(m)
+    return _read_only(x, w)
+
+
+@functools.lru_cache(maxsize=None)
 def _azimuthal_rule(n, m):
-    # Gauss rule for the weight (1-u^2)^((n-4)/2) on [-1, 1]
+    """Cached Gauss rule for the weight (1-u^2)^((n-4)/2) on [-1, 1], as
+    read-only arrays."""
     e = n - 4
     if e == -1:
-        return roots_chebyt(m)
-    if e == 0:
-        return roots_legendre(m)
-    if e == 1:
-        return roots_chebyu(m)
-    return roots_gegenbauer(m, (e + 1) / 2.0)
+        x, w = roots_chebyt(m)
+    elif e == 0:
+        return _gauss_legendre(m)
+    elif e == 1:
+        x, w = roots_chebyu(m)
+    else:
+        x, w = roots_gegenbauer(m, (e + 1) / 2.0)
+    return _read_only(x, w)
 
 
 def _kink_points(n, r, ct, st, u):
-    """Zeros in (0, pi) of the sign factor of <grad P, v>.
+    """Zeros in (0, pi) of the sign factor of <grad P, v>, for each u.
 
-    rho^(n+2) * <grad P, v> = c0 + A1 cos(phi) + B1 sin(phi), a constant
-    plus one sinusoid, so there are at most two zeros; a coarse sign scan
-    brackets them and bisection refines.
+    rho^(n+2) * <grad P, v> = c0 + a1 cos(phi) + b1 sin(phi)
+                            = c0 + R cos(phi - alpha),
+    with R = hypot(a1, b1) and alpha = atan2(b1, a1), so the zeros are
+    alpha +/- acos(-c0/R) when |c0| < R (a tangency, |c0| = R, is no
+    sign change).  For theta in [0, pi/2], c0 <= 0 <= a1, so alpha lies
+    in [-pi/2, pi/2] and acos(-c0/R) in [0, pi/2]: both candidates lie in
+    [-pi, pi], and no zero wraps around.  Returns an array of shape
+    (len(u), 2), each row sorted, with pi standing in for a missing zero.
     """
+    u = np.asarray(u, dtype=float)
     c0 = -2.0 * r * (1.0 + r * r) * ct - n * (1.0 - r * r) * r * ct
     a1 = (4.0 * r * r + n * (1.0 - r * r)) * ct
     b1 = n * (1.0 - r * r) * u * st
-
-    def g(phi):
-        return c0 + a1 * math.cos(phi) + b1 * math.sin(phi)
-
-    grid = np.linspace(0.0, math.pi, 33)
-    vals = [g(ph) for ph in grid]
-    roots = []
-    for i in range(len(grid) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0 and 0.0 < grid[i] < math.pi:
-            roots.append(grid[i])
-            continue
-        if va * vb < 0.0:
-            lo, hi = grid[i], grid[i + 1]
-            for _ in range(80):
-                if hi - lo < 1e-15:
-                    break
-                mid = 0.5 * (lo + hi)
-                if g(lo) * g(mid) <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            roots.append(0.5 * (lo + hi))
-    return sorted(roots)
+    R = np.hypot(a1, b1)
+    real = np.abs(c0) < R
+    alpha = np.arctan2(b1, a1)
+    beta = np.arccos(np.clip(-c0 / np.where(real, R, 1.0), -1.0, 1.0))
+    phi = np.stack([alpha - beta, alpha + beta], axis=-1)
+    inside = real[:, None] & (phi > 0.0) & (phi < math.pi)
+    return np.sort(np.where(inside, phi, math.pi), axis=-1)
 
 
-def _polar_integral(n, r, ct, st, u, nodes, signed=False):
-    """integral over [0, pi] of |F(phi, u)| sin^(n-2)(phi) dphi.
+def _polar_integrals(n, r, ct, st, u, nodes, signed=False):
+    """integral over [0, pi] of |F(phi, u)| sin^(n-2)(phi) dphi, for each u,
+    as an array of shape (len(u), 3): one column per piece.
+
+    The polar interval is split at the kinks into three pieces (one or
+    two of zero width when there are fewer kinks), and the kernel is
+    evaluated once on all (u, piece, node) points.
 
     With ``signed=True`` the integrand is F times the sign of F read off
     the same nodes (the extremal boundary-data construction); the two
     agree identically at node level.
     """
-    kern = backend.get_backend()
-    xg, wg = roots_legendre(nodes)
-    pts = [0.0] + _kink_points(n, r, ct, st, u) + [math.pi]
-    pieces = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        half = 0.5 * (b - a)
-        phi = 0.5 * (a + b) + half * xg
-        cphi = np.cos(phi)
-        sphi = np.sin(phi)
-        F = kern.grad_dot_batch(np.ascontiguousarray(cphi),
-                                np.ascontiguousarray(sphi),
-                                u, r, n, ct, st, np.empty_like(phi))
-        F = np.asarray(F)
-        if signed:
-            vals = F * np.sign(F)
-        else:
-            vals = np.abs(F)
-        pieces.append(half * float(wg @ (vals * sphi ** (n - 2))))
-    return math.fsum(pieces)
+    u = np.asarray(u, dtype=float)
+    xg, wg = _gauss_legendre(nodes)
+    kinks = _kink_points(n, r, ct, st, u)
+    ends = np.concatenate([np.zeros((u.size, 1)), kinks,
+                           np.full((u.size, 1), math.pi)], axis=1)
+    a, b = ends[:, :-1], ends[:, 1:]
+    half = 0.5 * (b - a)
+    phi = (0.5 * (a + b))[..., None] + half[..., None] * xg
+    cphi = np.cos(phi).ravel()
+    sphi = np.sin(phi).ravel()
+    uu = np.repeat(u, phi.shape[1] * nodes)
+    F = backend.get_backend().grad_dot_batch(cphi, sphi, uu, r, n, ct, st,
+                                             np.empty_like(cphi))
+    vals = F * np.sign(F) if signed else np.abs(F)
+    vals = (vals * sphi ** (n - 2)).reshape(phi.shape)
+    return half * np.sum(vals * wg, axis=-1)
 
 
 def _tangential_constant(n, r, nodes):
@@ -171,7 +184,7 @@ def _tangential_constant(n, r, nodes):
     integrand |u| * smooth has a kink at u = 0 that the weight-matched
     Gauss rule cannot resolve.
     """
-    xg, wg = roots_legendre(nodes)
+    xg, wg = _gauss_legendre(nodes)
     half = math.pi / 2.0
     phi = half + half * xg
     rho2 = 1.0 - 2.0 * r * np.cos(phi) + r * r
@@ -188,13 +201,15 @@ def _product_constant(q, sq, signed=False):
         return _tangential_constant(n, r, sq.nodes_polar)
     if n == 2:
         # the residual sphere S^0 is the pair u = +/-1
-        total = _polar_integral(2, r, ct, st, 1.0, sq.nodes_polar, signed) \
-            + _polar_integral(2, r, ct, st, -1.0, sq.nodes_polar, signed)
-        return total / (2.0 * math.pi)
-    uj, wj = _azimuthal_rule(n, sq.nodes_azimuthal)
-    contribs = [w * _polar_integral(n, r, ct, st, float(u), sq.nodes_polar, signed)
-                for u, w in zip(uj, wj)]
-    return sphere_area(n - 2) / sphere_area(n) * math.fsum(contribs)
+        uj, wj = np.array([1.0, -1.0]), np.ones(2)
+        scale = 1.0 / (2.0 * math.pi)
+    else:
+        uj, wj = _azimuthal_rule(n, sq.nodes_azimuthal)
+        scale = sphere_area(n - 2) / sphere_area(n)
+    pieces = _polar_integrals(n, r, ct, st, uj, sq.nodes_polar, signed)
+    # correctly rounded total: last-bit changes of the query (theta from
+    # directional_constant_vector) then leave the answer bit-equal more often
+    return scale * math.fsum((wj[:, None] * pieces).ravel())
 
 
 def _mc_constant(q, sq):
@@ -215,10 +230,24 @@ def _mc_constant(q, sq):
     return value, stderr
 
 
+def _error_proxy(q, sq, value):
+    """Error measure of ``value``, the answer to ``q`` under ``sq``: the
+    Monte-Carlo standard error, or the node-halving delta for the product
+    rule."""
+    if sq.method == "monte_carlo":
+        return _mc_constant(q, sq)[1]
+    coarse = SphereQuadrature(method="product_gauss",
+                              nodes_polar=max(2, sq.nodes_polar // 2),
+                              nodes_azimuthal=max(1, sq.nodes_azimuthal // 2),
+                              samples=sq.samples, seed=sq.seed)
+    return abs(value - _product_constant(q, coarse))
+
+
 def directional_constant(q, sq=SphereQuadrature()):
     """Directional sharp constant C(x, v) for the canonical query."""
-    value, _ = directional_constant_with_error(q, sq)
-    return value
+    if sq.method == "monte_carlo":
+        return _mc_constant(q, sq)[0]
+    return _product_constant(q, sq)
 
 
 def directional_constant_with_error(q, sq=SphereQuadrature()):
@@ -227,12 +256,7 @@ def directional_constant_with_error(q, sq=SphereQuadrature()):
     if sq.method == "monte_carlo":
         return _mc_constant(q, sq)
     value = _product_constant(q, sq)
-    coarse = SphereQuadrature(method="product_gauss",
-                              nodes_polar=max(2, sq.nodes_polar // 2),
-                              nodes_azimuthal=max(1, sq.nodes_azimuthal // 2),
-                              samples=sq.samples, seed=sq.seed)
-    proxy = abs(value - _product_constant(q, coarse))
-    return value, proxy
+    return value, _error_proxy(q, sq, value)
 
 
 def directional_constant_vector(x, v, sq=SphereQuadrature()):
@@ -281,10 +305,12 @@ def best_direction(n, r, theta_grid, sq=SphereQuadrature()):
     profile = tuple((t, directional_constant(DirectionalQuery(n, r, t), sq))
                     for t in thetas)
     theta_star, _ = max(profile, key=lambda tv: tv[1])
-    value0 = dict(profile)[0.0]
-    _, err0 = directional_constant_with_error(DirectionalQuery(n, r, 0.0), sq)
-    _, errs = directional_constant_with_error(DirectionalQuery(n, r, theta_star), sq)
-    allowance = err0 + errs + 1e-9
+    values = dict(profile)
+    value0 = values[0.0]
+    # the error proxies reuse the profile values: only the coarse pass runs
+    err = {t: _error_proxy(DirectionalQuery(n, r, t), sq, values[t])
+           for t in {0.0, theta_star}}
+    allowance = err[0.0] + err[theta_star] + 1e-9
     violation = any(val > value0 + allowance for t, val in profile if t != 0.0)
     return BestDirection(theta_star=theta_star, profile=profile,
                          conjecture_violation=violation, allowance=allowance)
@@ -307,7 +333,7 @@ def kernel_mass(r, n, nodes=200):
     measure); equals 1 for every interior radius -- a self-test."""
     if not (0.0 <= r < 1.0):
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    xg, wg = roots_legendre(nodes)
+    xg, wg = _gauss_legendre(nodes)
     half = math.pi / 2.0
     phi = half + half * xg
     P = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(phi) + r * r) ** (n / 2.0)

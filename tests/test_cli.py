@@ -140,6 +140,15 @@ def test_verify_oracle(capsys):
                      "oracle_vs_closed_n4"]
 
 
+def test_verify_oracle_json(capsys):
+    code, out, _ = run_cli(capsys, "verify", "oracle", "--json", "--no-timing")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["case_name"] for r in reports] == [
+        "kernel_mass", "gradient_vs_fd", "disk_center", "oracle_vs_closed_n4"]
+    assert all(r["passed"] is True for r in reports)
+
+
 def test_verify_conjecture_small_grid(capsys):
     code, out, _ = run_cli(capsys, "verify", "conjecture", "--n", "4",
                            "--r-steps", "2", "--theta-steps", "5")

@@ -20,8 +20,12 @@ from ballgrad import (
     gradient_bound,
     halfspace_constant,
 )
+from ballgrad._kernels_py import grad_dot_batch
 from ballgrad.kernelint import ParamSet, QuadratureSpec, c_numeric
 from ballgrad.poisson_oracle import (
+    _azimuthal_rule,
+    _gauss_legendre,
+    _kink_points,
     best_direction,
     directional_constant,
     directional_constant_vector,
@@ -208,3 +212,60 @@ def test_best_direction_normal_wins():
     assert values[0] == max(values)
     with pytest.raises(ValueError):
         best_direction(4, 0.6, [0.1, 0.4], SQ)  # grid must contain 0
+
+
+def _sign_factor(n, r, ct, st, u, phi):
+    """rho^(n+2) <grad P, v>, read off the kernel."""
+    phi = np.asarray(phi, dtype=float)
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    rho2 = 1.0 - 2.0 * r * cphi + r * r
+    F = grad_dot_batch(cphi, sphi, u, r, n, ct, st, np.empty_like(phi))
+    return F * rho2 ** ((n + 2) / 2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("r", [0.0, 0.05, 0.5, 0.95])
+@pytest.mark.parametrize("theta", [1e-3, math.pi / 4, math.pi / 2 - 1e-5])
+def test_kink_points_are_the_sign_changes(n, r, theta):
+    """Closed-form kinks: zeros of the sign factor, and every sign change
+    a dense scan of [0, pi] finds (pi pads a missing kink)."""
+    ct, st = math.cos(theta), math.sin(theta)
+    us = np.array([-1.0, 0.0, 0.3, 1.0])
+    kinks = _kink_points(n, r, ct, st, us)
+    assert kinks.shape == (4, 2)
+    scan = np.linspace(0.0, math.pi, 4097)
+    for u, row in zip(us, kinks):
+        real = row[row < math.pi]
+        g = _sign_factor(n, r, ct, st, u, scan)
+        scale = np.max(np.abs(g))
+        assert np.all(real > 0.0)
+        assert np.all(np.abs(_sign_factor(n, r, ct, st, u, real)) <= 1e-12 * scale)
+        s = np.sign(g[g != 0.0])  # a zero on a scan point is no change
+        changes = int(np.sum(s[:-1] * s[1:] < 0.0))
+        assert changes == real.size, (u, row)
+
+
+def test_gauss_rules_cached_read_only():
+    rules = [_gauss_legendre(96)] + [_azimuthal_rule(n, 64) for n in (3, 4, 5, 6)]
+    for x, w in rules:
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+    assert _gauss_legendre(96) is rules[0]
+    assert _azimuthal_rule(4, 64) is rules[2]
+
+
+@pytest.mark.parametrize("n,r,sq", [
+    (4, 0.5, SQ),
+    (2, 0.9, SQ),  # flat profile: the argmax is an interior angle
+    (4, 0.5, SphereQuadrature(method="monte_carlo", samples=2_000, seed=5)),
+])
+def test_best_direction_allowance_from_error_proxies(n, r, sq):
+    """The profile repeats, and the allowance is the two error measures
+    that directional_constant_with_error reports, plus 1e-9."""
+    grid = np.linspace(0.0, math.pi / 2, 9)
+    bd = best_direction(n, r, grid, sq)
+    assert best_direction(n, r, grid, sq).profile == bd.profile
+    _, err0 = directional_constant_with_error(DirectionalQuery(n, r, 0.0), sq)
+    _, errs = directional_constant_with_error(DirectionalQuery(n, r, bd.theta_star), sq)
+    assert bd.allowance == err0 + errs + 1e-9
