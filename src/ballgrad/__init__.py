@@ -12,8 +12,7 @@ from .closedform4 import (EvalPoint, SharpConstantReport, c_at_zero, c_closed,
                           psi_closed, sharp_constant_report, v_certificate)
 from .exceptions import EvaluationError, QuadratureError, SeriesBranchWarning
 from .kernelint import (ParamSet, QuadratureSpec, adaptive_quad, c_numeric,
-                        psi_integrand, psi_numeric, q_partial_fractions,
-                        sphere_area)
+                        psi_numeric, q_partial_fractions, sphere_area)
 from .poisson_oracle import (BestDirection, DirectionalQuery, SphereQuadrature,
                              best_direction, directional_constant,
                              directional_constant_vector,

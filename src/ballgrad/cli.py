@@ -418,8 +418,6 @@ def build_parser():
                        help="one spherical-quadrature query")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--z", type=float, default=None,
-                   help="accepted for symmetry; ignored by the oracle")
     p.add_argument("--theta", type=float, default=0.0)
     p.set_defaults(func=cmd_oracle)
 

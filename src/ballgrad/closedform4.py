@@ -3,14 +3,26 @@
 Everything here is an explicit formula: the radial profile function
 ``psi_closed``, the directional-constant components ``c_components`` /
 ``c_closed``, the radial constants ``frak_c`` / ``c_at_zero`` /
-``gradient_bound``, and the classical reference constants for the disk
-and for half-spaces in every dimension.
+``gradient_bound``, the envelopes ``envelope_L`` / ``envelope_g1``, the
+certificate ``v_certificate``, and the classical reference constants for
+the disk and for half-spaces in every dimension.
+
+Each n = 4 formula has one numpy implementation, ``_<name>_arr``, that
+takes broadcastable ``(r, z)`` arrays (or ``r`` alone) and returns an
+array of their broadcast shape.  The public n = 4 functions are thin
+scalar wrappers: they validate their arguments (through ``EvalPoint`` or a
+range check), call the array form and return floats.  The verification
+registries in ``proofcheck`` call the array forms on whole grids and
+samples at once.
 
 Removable singularities (0/0 of order r^3 at r=0, and of order z at z=0
 inside h1) are served by truncated series branches below the thresholds
-``SERIES_R_THRESHOLD`` / ``SERIES_Z_THRESHOLD``; the series coefficients
-were derived symbolically offline and are validated against
-high-precision evaluation in the test suite.
+``SERIES_R_THRESHOLD`` / ``SERIES_Z_THRESHOLD``, selected per element
+with ``np.where``; the discarded branch is evaluated at a harmless
+substitute point wherever it would otherwise divide by zero.  The
+series coefficients were derived symbolically offline and are validated
+against high-precision evaluation in the test suite.  An internal sanity
+check that fails raises with the first offending (r, z) in its message.
 """
 
 import math
@@ -23,8 +35,6 @@ from .exceptions import EvaluationError, SeriesBranchWarning
 
 SERIES_R_THRESHOLD = 1e-3
 SERIES_Z_THRESHOLD = 1e-6
-
-_16_3PI = 16.0 / (3.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -50,6 +60,15 @@ class SharpConstantReport:
     method: str  # "closed_form" | "series_branch"
 
 
+def _require(ok, exc, what, r, z):
+    """Raise ``exc(what ...)`` naming the first (r, z) where ``ok`` is false."""
+    if np.all(ok):
+        return
+    ok, r, z = np.broadcast_arrays(ok, r, z)
+    i = np.unravel_index(np.argmin(ok), ok.shape)
+    raise exc(f"{what} at (r, z) = ({float(r[i])!r}, {float(z[i])!r})")
+
+
 def _sqrt_s(r, z):
     # sqrt(4 - r^2 + 4 z^2); strictly positive for r < 2
     return np.sqrt(4.0 - r * r + 4.0 * z * z)
@@ -59,12 +78,13 @@ def _atan_den(r, z):
     # (2 - r^2)^2 + 4 (1 - r^2) z^2 -- strictly positive for r < 1,
     # so the arctan terms never need a quadrant correction.
     d = (2.0 - r * r) ** 2 + 4.0 * (1.0 - r * r) * z * z
-    assert np.all(d > 0.0), "arctan denominator lost positivity"
+    _require(d > 0.0, EvaluationError, "arctan denominator lost positivity", r, z)
     return d
 
 
 def _psi_closed_arr(r, z):
     """Vectorized closed form of the profile function; z may be any sign."""
+    r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
     r2 = r * r
     s = _sqrt_s(r, z)
@@ -83,9 +103,9 @@ def _psi_closed_arr(r, z):
     arg_pos = p2 / (1.0 + (1.0 + r2) * z2 + r * z * s)
     arg_neg = 1.0 + z * (z + r2 * z - r * s)
     arg = np.where(z >= 0.0, arg_pos, arg_neg)
-    if not np.all(arg > 0.0):
-        raise EvaluationError("log argument went non-positive in psi_closed "
-                              f"(r={r}); this indicates catastrophic cancellation")
+    _require(arg > 0.0, EvaluationError,
+             "log argument went non-positive in psi_closed (catastrophic "
+             "cancellation)", r, z)
     t3 = 2.0 * (1.0 - r2) * z * np.log(arg / ((1.0 + r) ** 2 * (1.0 + z2)))
 
     return (1.0 - r) * (1.0 + r) ** 3 / (64.0 * r ** 3) * (t1 + t2 + t3)
@@ -104,19 +124,36 @@ def psi_closed(p, sign=1):
 
 
 def _h1_quotient(r, z):
-    # (atanh(r z/S) - atanh(r(r^2-3) z/S)) / (2 (1-r^2) z), continued to z=0.
+    # L(z) / (2 (1-r^2) z), continued to z = 0 below SERIES_Z_THRESHOLD by
+    # the limit r sqrt(4-r^2)/(2(1-r^2)) plus the z^2 correction term
+    r2 = r * r
+    near = z < SERIES_Z_THRESHOLD
+    s0 = np.sqrt(4.0 - r2)
+    c2 = r * (-2.0 / s0 + r2 * (28.0 - 27.0 * r ** 2 + 9.0 * r ** 4 - r ** 6)
+              / (3.0 * s0 ** 3))
+    series = (r * s0 + z * z * c2) / (2.0 * (1.0 - r2))
+    zd = np.where(near, 1.0, z)  # the direct form is 0/0 at z = 0
+    direct = _envelope_L_arr(r, zd) / (2.0 * (1.0 - r2) * zd)
+    return np.where(near, series, direct)
+
+
+def _c_components_arr(r, z):
+    """The components (h1, h2, h3) of the directional constant, elementwise."""
+    r = np.asarray(r, dtype=float)
+    z = np.asarray(z, dtype=float)
+    r2 = r * r
     s = _sqrt_s(r, z)
-    if z < SERIES_Z_THRESHOLD:
-        # limit r*sqrt(4-r^2)/(2(1-r^2)) plus the z^2 correction term
-        s0 = math.sqrt(4.0 - r * r)
-        c2 = r * (-2.0 / s0 + r * r * (28.0 - 27.0 * r ** 2 + 9.0 * r ** 4 - r ** 6)
-                  / (3.0 * s0 ** 3))
-        return (r * s0 + z * z * c2) / (2.0 * (1.0 - r * r))
-    a = r * z / s
-    b = r * (r * r - 3.0) * z / s
-    if not (abs(a) < 1.0 and abs(b) < 1.0):
-        raise ValueError("inverse-tanh argument left (-1, 1) in h1")
-    return (math.atanh(a) - math.atanh(b)) / (2.0 * (1.0 - r * r) * z)
+    den = _atan_den(r, z)
+
+    h1 = r * (1.0 + r2) * s / (2.0 * (1.0 - r2)) + _h1_quotient(r, z)
+    h2 = np.arctan(r * (2.0 * r * z - (2.0 - r2) * s) / den) \
+        - np.arctan(r * (2.0 * r * z + (2.0 - r2) * s) / den)
+
+    a3 = r * z * s / (1.0 + (1.0 + r2) * z * z)
+    _require(np.abs(a3) < 1.0, ValueError,
+             "inverse-tanh argument left (-1, 1) in h3", r, z)
+    h3 = 0.5 * (r2 - 1.0) * z * np.arctanh(a3)
+    return h1, h2, h3
 
 
 def c_components(p):
@@ -128,68 +165,86 @@ def c_components(p):
     ordering that makes c_closed agree with the independent quadrature
     oracle (h2 is negative at z = 0 under this convention).
     """
-    r, z = p.r, p.z
-    r2 = r * r
-    s = float(_sqrt_s(r, z))
-    den = float(_atan_den(r, z))
-
-    h1 = r * (1.0 + r2) * s / (2.0 * (1.0 - r2)) + _h1_quotient(r, z)
-    h2 = math.atan(r * (2.0 * r * z - (2.0 - r2) * s) / den) \
-        - math.atan(r * (2.0 * r * z + (2.0 - r2) * s) / den)
-
-    a3 = r * z * s / (1.0 + (1.0 + r2) * z * z)
-    if not abs(a3) < 1.0:
-        raise ValueError("inverse-tanh argument left (-1, 1) in h3")
-    h3 = 0.5 * (r2 - 1.0) * z * math.atanh(a3)
-    return h1, h2, h3
+    return tuple(float(h) for h in _c_components_arr(p.r, p.z))
 
 
 def _hsum_series(r, z):
     # h1 + h2 + h3 = c3(z) r^3 + c5(z) r^5 + O(r^7)
     z2 = z * z
     opz = 1.0 + z2
-    c3 = 8.0 / 3.0 * math.sqrt(opz)
+    c3 = 8.0 / 3.0 * np.sqrt(opz)
     c5 = (32.0 * z2 ** 4 + 135.0 * z2 ** 3 + 213.0 * z2 ** 2 + 149.0 * z2 + 39.0) \
         / (15.0 * opz ** 3.5)
     return c3 * r ** 3 + c5 * r ** 5
 
 
+def _c_closed_arr(r, z):
+    """C(z, r) elementwise; warns once if any radius takes the series branch."""
+    r = np.asarray(r, dtype=float)
+    z = np.asarray(z, dtype=float)
+    near = r < SERIES_R_THRESHOLD
+    if np.any(near):
+        warnings.warn(f"r={float(np.min(r))} below series threshold; "
+                      "using series branch", SeriesBranchWarning, stacklevel=2)
+    h1, h2, h3 = _c_components_arr(r, z)
+    hsum = np.where(near, _hsum_series(r, z), h1 + h2 + h3)
+    return 2.0 * (1.0 - r) / (math.pi * r ** 3 * np.sqrt(1.0 + z * z)) * hsum
+
+
 def c_closed(p):
     """The directional constant C(z, r) for n = 4, in closed form."""
-    r, z = p.r, p.z
-    if r < SERIES_R_THRESHOLD:
-        warnings.warn(f"r={r} below series threshold; using series branch",
-                      SeriesBranchWarning, stacklevel=2)
-        hsum = _hsum_series(r, z)
-    else:
-        h1, h2, h3 = c_components(p)
-        hsum = h1 + h2 + h3
-    return 2.0 * (1.0 - r) / (math.pi * r ** 3 * math.sqrt(1.0 + z * z)) * hsum
+    return float(_c_closed_arr(p.r, p.z))
+
+
+def _envelope_L_arr(r, z):
+    r = np.asarray(r, dtype=float)
+    z = np.asarray(z, dtype=float)
+    s = _sqrt_s(r, z)
+    a = r * z / s
+    b = r * (r * r - 3.0) * z / s
+    _require((np.abs(a) < 1.0) & (np.abs(b) < 1.0), ValueError,
+             "inverse-tanh argument left (-1, 1) in L", r, z)
+    return np.arctanh(a) - np.arctanh(b)
 
 
 def envelope_L(p):
     """The numerator combination L(z) inside h1 (nonnegative, bounded by
     r z sqrt(4 - r^2))."""
-    r, z = p.r, p.z
-    s = float(_sqrt_s(r, z))
-    return math.atanh(r * z / s) - math.atanh(r * (r * r - 3.0) * z / s)
+    return float(_envelope_L_arr(p.r, p.z))
+
+
+def _envelope_g1_arr(r, z):
+    r = np.asarray(r, dtype=float)
+    z = np.asarray(z, dtype=float)
+    s = _sqrt_s(r, z)
+    return (r * np.sqrt(4.0 - r * r) + r * (1.0 + r * r) * s) \
+        / np.sqrt(1.0 + z * z)
 
 
 def envelope_g1(p):
     """The envelope g1(z) = (r sqrt(4-r^2) + r(1+r^2) sqrt(4-r^2+4z^2)) / sqrt(1+z^2),
     decreasing in z with maximum at z = 0."""
-    r, z = p.r, p.z
-    s = float(_sqrt_s(r, z))
-    return (r * math.sqrt(4.0 - r * r) + r * (1.0 + r * r) * s) \
-        / math.sqrt(1.0 + z * z)
+    return float(_envelope_g1_arr(p.r, p.z))
 
 
 def _n_of_r(r):
     # r sqrt(4-r^2)(2+r^2) + 4(1-r^2) arctan(r sqrt(4-r^2)/(r^2-2));
     # the arctan argument is negative, so the second term is negative.
-    s0 = math.sqrt(4.0 - r * r)
+    s0 = np.sqrt(4.0 - r * r)
     return r * s0 * (2.0 + r * r) \
-        + 4.0 * (1.0 - r * r) * math.atan(r * s0 / (r * r - 2.0))
+        + 4.0 * (1.0 - r * r) * np.arctan(r * s0 / (r * r - 2.0))
+
+
+def _frak_c_series(r):
+    return (16.0 / 3.0 - (2.0 / 15.0) * r * r) / math.pi
+
+
+def _frak_c_arr(r):
+    """F(r) elementwise on [0, 1]; the series answers below SERIES_R_THRESHOLD."""
+    r = np.asarray(r, dtype=float)
+    near = r < SERIES_R_THRESHOLD
+    rc = np.where(near, 1.0, r)  # the direct form is 0/0 at r = 0
+    return np.where(near, _frak_c_series(r), _n_of_r(rc) / (math.pi * rc ** 3))
 
 
 def frak_c(r):
@@ -203,18 +258,28 @@ def frak_c(r):
     """
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0, 1], got {r}")
-    if r < SERIES_R_THRESHOLD:
-        return (16.0 / 3.0 - (2.0 / 15.0) * r * r) / math.pi
-    return _n_of_r(r) / (math.pi * r ** 3)
+    return float(_frak_c_arr(r))
+
+
+def _c_at_zero_arr(r):
+    """C(0, r) = F(r)/(1 + r) elementwise, directly from its formula."""
+    r = np.asarray(r, dtype=float)
+    near = r < SERIES_R_THRESHOLD
+    rc = np.where(near, 1.0, r)
+    return np.where(near, _frak_c_series(r) / (1.0 + r),
+                    _n_of_r(rc) / (math.pi * (1.0 + rc) * rc ** 3))
 
 
 def c_at_zero(r):
     """The z = 0 value C(0, r) = F(r)/(1 + r), directly from its formula."""
     if not (0.0 < r < 1.0):
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    if r < SERIES_R_THRESHOLD:
-        return frak_c(r) / (1.0 + r)
-    return _n_of_r(r) / (math.pi * (1.0 + r) * r ** 3)
+    return float(_c_at_zero_arr(r))
+
+
+def _gradient_bound_arr(r):
+    # factored denominator: 1 - r*r loses digits as r -> 1
+    return _frak_c_arr(r) / ((1.0 - r) * (1.0 + r))
 
 
 def gradient_bound(r):
@@ -225,8 +290,15 @@ def gradient_bound(r):
     """
     if not (0.0 <= r < 1.0):
         raise ValueError(f"r must lie in [0, 1); the bound diverges at r=1 (got {r})")
-    # factored denominator: 1 - r*r loses digits as r -> 1
-    return frak_c(r) / ((1.0 - r) * (1.0 + r))
+    return float(_gradient_bound_arr(r))
+
+
+def _v_certificate_arr(r):
+    # at r = 0 both terms vanish and the sum is exactly +0.0
+    r = np.asarray(r, dtype=float)
+    s0 = np.sqrt(4.0 - r * r)
+    return r * (4.0 - r * r) * (6.0 - r * r) / (4.0 * (3.0 - r * r) * s0) \
+        + np.arctan(r * s0 / (r * r - 2.0))
 
 
 def v_certificate(r):
@@ -236,11 +308,7 @@ def v_certificate(r):
     """
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0, 1], got {r}")
-    if r == 0.0:
-        return 0.0
-    s0 = math.sqrt(4.0 - r * r)
-    return r * (4.0 - r * r) * (6.0 - r * r) / (4.0 * (3.0 - r * r) * s0) \
-        + math.atan(r * s0 / (r * r - 2.0))
+    return float(_v_certificate_arr(r))
 
 
 def halfspace_constant(n, x_n=1.0):

@@ -110,16 +110,6 @@ def sphere_area(n):
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def psi_integrand(w, p, ps):
-    """Profile integrand at a single w >= 0 (z taken from the EvalPoint)."""
-    if w < 0.0:
-        raise ValueError(f"w must be >= 0, got {w}")
-    out = np.empty(1)
-    backend.get_backend().psi_integrand_batch(
-        np.array([float(w)]), ps.r, p.z, ps.n, out)
-    return float(out[0])
-
-
 def q_partial_fractions(w, r, z):
     """Eight-term partial-fraction form of the n = 4 profile integrand.
 

@@ -34,9 +34,10 @@ from typing import Optional
 import numpy as np
 from scipy.stats import qmc
 
-from .closedform4 import (EvalPoint, c_at_zero, c_closed, c_components,
-                          envelope_L, envelope_g1, frak_c, gradient_bound,
-                          psi_closed, v_certificate)
+from .closedform4 import (EvalPoint, _atan_den, _c_at_zero_arr, _c_closed_arr,
+                          _c_components_arr, _envelope_g1_arr, _envelope_L_arr,
+                          _frak_c_arr, _gradient_bound_arr, _psi_closed_arr,
+                          _sqrt_s, _v_certificate_arr, c_closed)
 from .exceptions import EvaluationError
 from .kernelint import ParamSet, QuadratureSpec, c_numeric, q_partial_fractions
 from .poisson_oracle import SphereQuadrature, best_direction
@@ -56,6 +57,10 @@ INEQUALITY_CASE_COUNT = 13
 class IdentityCase:
     """One verifiable claim: an identity (possibly up to differentiation)
     or a pointwise inequality lhs <= rhs, together with its domain box.
+
+    ``lhs`` and ``rhs`` receive one broadcastable numpy array per domain
+    variable (a whole grid or sample at once) and return an array of the
+    broadcast shape, or a scalar where the side is constant.
 
     For ``derivative_of_equals`` the lhs is differentiated with respect
     to the domain variable at index ``wrt`` before comparison; the lhs
@@ -102,7 +107,7 @@ class VerificationReport:
 def _richardson(f, args, i, scale):
     # central difference at steps h and h/2, Richardson-combined: O(h^4)
     x = args[i]
-    h = scale * (1.0 + abs(x))
+    h = scale * (1.0 + np.abs(x))
 
     def central(hh):
         up = list(args)
@@ -115,23 +120,37 @@ def _richardson(f, args, i, scale):
 
 
 def _deviation(a, b):
-    return abs(a - b) / (1.0 + max(abs(a), abs(b)))
+    return np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b)))
 
 
 def _lhs_value(case, args, scale):
     if case.kind == "derivative_of_equals":
         if isinstance(case.lhs, tuple):
-            return math.fsum(coeff(*args) * _richardson(fn, args, case.wrt, scale)
-                             for coeff, fn in case.lhs)
+            return sum(coeff(*args) * _richardson(fn, args, case.wrt, scale)
+                       for coeff, fn in case.lhs)
         return _richardson(case.lhs, args, case.wrt, scale)
     return case.lhs(*args)
+
+
+def _first_max(case, values, coords):
+    """Worst value and its location: the first maximum in C order, as a
+    scan with a strict ``>`` would find it.  Any non-finite value is an
+    evaluation failure, reported at its first occurrence."""
+    values = np.broadcast_to(values, coords[0].shape)
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        where = tuple(float(c.flat[i]) for c in coords)
+        raise EvaluationError(f"{case.name}: non-finite value at {where}")
+    i = int(np.argmax(values))
+    return float(values.flat[i]), tuple(float(c.flat[i]) for c in coords)
 
 
 def case_deviation(case, point, step_scale=None):
     """Deviation of a single identity case at one explicit point."""
     scale = _CBRT_EPS if step_scale is None else step_scale
     args = tuple(float(x) for x in point)
-    return _deviation(_lhs_value(case, args, scale), case.rhs(*args))
+    return float(_deviation(_lhs_value(case, args, scale), case.rhs(*args)))
 
 
 def check_derivative_identity(case, n_points=1024, tolerance=1e-7, seed=0,
@@ -140,8 +159,9 @@ def check_derivative_identity(case, n_points=1024, tolerance=1e-7, seed=0,
 
     The sample is unscrambled, hence fully deterministic; the deviation
     metric |lhs - rhs| / (1 + max(|lhs|, |rhs|)) is symmetric in the two
-    sides.  An evaluation failure aborts with the offending point in the
-    exception message.
+    sides.  The whole sample is evaluated in one call per side; an
+    evaluation failure aborts with the case name and the offending
+    point in the exception message.
     """
     if case.kind == "pointwise_leq":
         raise ValueError(f"{case.name} is an inequality; use check_inequality")
@@ -150,18 +170,13 @@ def check_derivative_identity(case, n_points=1024, tolerance=1e-7, seed=0,
     his = [hi for _, _, hi in case.domain]
     sampler = qmc.Sobol(d=len(case.domain), scramble=False, seed=seed)
     pts = qmc.scale(sampler.random(n_points), los, his)
+    args = tuple(np.ascontiguousarray(col) for col in pts.T)
 
-    worst = -math.inf
-    where = None
-    for row in pts:
-        args = tuple(float(x) for x in row)
-        try:
-            dev = _deviation(_lhs_value(case, args, scale), case.rhs(*args))
-        except Exception as exc:
-            raise EvaluationError(
-                f"{case.name}: evaluation failed at {args}: {exc}") from exc
-        if dev > worst:
-            worst, where = dev, args
+    try:
+        dev = _deviation(_lhs_value(case, args, scale), case.rhs(*args))
+    except Exception as exc:
+        raise EvaluationError(f"{case.name}: evaluation failed: {exc}") from exc
+    worst, where = _first_max(case, dev, args)
 
     method = ("richardson_fd" if case.kind == "derivative_of_equals"
               else "pointwise")
@@ -200,28 +215,21 @@ def check_inequality(case, tolerance=1e-12, seed=0):
     axes = [_axis_grid(var, lo, hi, m)
             for (var, lo, hi), m in zip(case.domain, shape)]
 
+    try:
+        if case.checker == "monotone_decreasing":
+            grid = axes[0]
+            vals = case.lhs(grid)
+        else:
+            mesh = np.meshgrid(*axes, indexing="ij")
+            viol = case.lhs(*mesh) - case.rhs(*mesh)
+    except Exception as exc:
+        raise EvaluationError(f"{case.name}: evaluation failed: {exc}") from exc
+
     if case.checker == "monotone_decreasing":
-        grid = axes[0]
-        try:
-            vals = np.array([case.lhs(float(x)) for x in grid])
-        except Exception as exc:
-            raise EvaluationError(f"{case.name}: evaluation failed: {exc}") from exc
-        diffs = np.diff(vals)
-        i = int(np.argmax(diffs))
-        worst = float(diffs[i])
-        where = (float(0.5 * (grid[i] + grid[i + 1])),)
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        worst, where = _first_max(case, np.diff(vals), (mids,))
     else:
-        worst = -math.inf
-        where = None
-        for idx in np.ndindex(*shape):
-            args = tuple(float(axes[k][idx[k]]) for k in range(d))
-            try:
-                viol = case.lhs(*args) - case.rhs(*args)
-            except Exception as exc:
-                raise EvaluationError(
-                    f"{case.name}: evaluation failed at {args}: {exc}") from exc
-            if viol > worst:
-                worst, where = viol, args
+        worst, where = _first_max(case, viol, mesh)
 
     box = ", ".join(f"{v} in [{lo:g}, {hi:g}]" for v, lo, hi in case.domain)
     desc = "x".join(str(m) for m in shape) + f" grid over {box}"
@@ -235,24 +243,16 @@ def check_inequality(case, tolerance=1e-12, seed=0):
 # displayed formulas entering the registries
 # ---------------------------------------------------------------------------
 
-def _sqrt_s(r, z):
-    return math.sqrt(4.0 - r * r + 4.0 * z * z)
-
-
-def _atan_den(r, z):
-    return (2.0 - r * r) ** 2 + 4.0 * (1.0 - r * r) * z * z
-
-
 def _r_antideriv(w, r, z):
     # antiderivative (in w) of the profile integrand, up to 32 r^3/(1+r)^2
     r2 = r * r
     w2 = w * w
     return (4.0 * r * w * (1.0 + w2 + r * (w2 - 1.0))
             - 4.0 * r * (1.0 + r2 + (1.0 + r) ** 2 * w2) * z) / (1.0 + w2) ** 2 \
-        + 2.0 * (r2 - 1.0) * math.atan(w) \
-        + 2.0 * (r2 - 1.0) * math.atan((r - 1.0) * w / (1.0 + r)) \
-        + (1.0 - r2) ** 2 * z * math.log(((1.0 + r) ** 2 + (1.0 - r) ** 2 * w2)
-                                         / (1.0 + w2))
+        + 2.0 * (r2 - 1.0) * np.arctan(w) \
+        + 2.0 * (r2 - 1.0) * np.arctan((r - 1.0) * w / (1.0 + r)) \
+        + (1.0 - r2) ** 2 * z * np.log(((1.0 + r) ** 2 + (1.0 - r) ** 2 * w2)
+                                       / (1.0 + w2))
 
 
 def _u_display(r, z, t):
@@ -260,8 +260,8 @@ def _u_display(r, z, t):
     s = _sqrt_s(r, tz)
     d = _atan_den(r, tz)
     r2 = r * r
-    return math.atan(r * (2.0 * r * tz - (2.0 - r2) * s) / d) \
-        - math.atan(r * (2.0 * r * tz + (2.0 - r2) * s) / d)
+    return np.arctan(r * (2.0 * r * tz - (2.0 - r2) * s) / d) \
+        - np.arctan(r * (2.0 * r * tz + (2.0 - r2) * s) / d)
 
 
 def _u_prime_display(r, z, t):
@@ -274,7 +274,7 @@ def _u_prime_display(r, z, t):
 def _u1_display(r, z, t):
     tz = t * z
     r2 = r * r
-    return -z * (1.0 - r2) * math.atanh(r * tz * _sqrt_s(r, tz)
+    return -z * (1.0 - r2) * np.arctanh(r * tz * _sqrt_s(r, tz)
                                         / (1.0 + (1.0 + r2) * tz * tz))
 
 
@@ -309,8 +309,8 @@ def _x_display(r, z, t):
 def _x_antideriv_display(r, z, t):
     s = _sqrt_s(r, t * z)
     r2 = r * r
-    return (r * (1.0 + r2) * t * z * s + math.atanh(r * t * z / s)
-            - math.atanh(r * (r2 - 3.0) * t * z / s)) / (2.0 * (1.0 - r2) * z)
+    return (r * (1.0 + r2) * t * z * s + np.arctanh(r * t * z / s)
+            - np.arctanh(r * (r2 - 3.0) * t * z / s)) / (2.0 * (1.0 - r2) * z)
 
 
 def _x_rep_display(r, z, t):
@@ -331,9 +331,9 @@ def _pair_display(r, z, t):
     return (1.0 - r) * (1.0 + r) ** 3 / (16.0 * r ** 3) * (
         r * s * (2.0 + r2 + 2.0 * (1.0 + r2) * tz * tz)
         / (2.0 * (1.0 - r2) * (1.0 + tz * tz))
-        - math.atan(r * (2.0 * r * tz + (2.0 - r2) * s) / d)
-        + math.atan(r * (2.0 * r * tz - (2.0 - r2) * s) / d)
-        - (1.0 - r2) * tz * math.atanh(r * tz * s / (1.0 + (1.0 + r2) * tz * tz)))
+        - np.arctan(r * (2.0 * r * tz + (2.0 - r2) * s) / d)
+        + np.arctan(r * (2.0 * r * tz - (2.0 - r2) * s) / d)
+        - (1.0 - r2) * tz * np.arctanh(r * tz * s / (1.0 + (1.0 + r2) * tz * tz)))
 
 
 def _pair_antideriv_display(r, z, t):
@@ -344,10 +344,10 @@ def _pair_antideriv_display(r, z, t):
     r2 = r * r
     return (1.0 + r) ** 2 / (16.0 * r ** 3 * z) * (
         0.5 * r * (1.0 + r2) * tz * s
-        + 0.5 * math.atanh(r * tz / s) - 0.5 * math.atanh(r * (r2 - 3.0) * tz / s)
-        + (r2 - 1.0) * tz * math.atan(r * (2.0 * r * tz + (2.0 - r2) * s) / d)
-        - (r2 - 1.0) * tz * math.atan(r * (2.0 * r * tz - (2.0 - r2) * s) / d)
-        - 0.5 * (r2 - 1.0) ** 2 * tz * tz * math.atanh(r * tz * s
+        + 0.5 * np.arctanh(r * tz / s) - 0.5 * np.arctanh(r * (r2 - 3.0) * tz / s)
+        + (r2 - 1.0) * tz * np.arctan(r * (2.0 * r * tz + (2.0 - r2) * s) / d)
+        - (r2 - 1.0) * tz * np.arctan(r * (2.0 * r * tz - (2.0 - r2) * s) / d)
+        - 0.5 * (r2 - 1.0) ** 2 * tz * tz * np.arctanh(r * tz * s
                                                        / (1.0 + (1.0 + r2) * tz * tz)))
 
 
@@ -359,7 +359,7 @@ def _l_prime_display(r, z):
 
 def _g1_prime_display(r, z):
     r2 = r * r
-    rad = math.sqrt((4.0 - r2) * (4.0 * (1.0 + z * z) - r2))
+    rad = np.sqrt((4.0 - r2) * (4.0 * (1.0 + z * z) - r2))
     return r * z * (r2 + r2 * r2 - rad) \
         / ((1.0 + z * z) ** 1.5 * _sqrt_s(r, z))
 
@@ -373,32 +373,28 @@ def _h2_prime_display(r, z):
 
 
 def _v_prime_display(r):
-    return r ** 4 * math.sqrt(4.0 - r * r) / (2.0 * (3.0 - r * r) ** 2)
+    return r ** 4 * np.sqrt(4.0 - r * r) / (2.0 * (3.0 - r * r) ** 2)
 
 
 def _frak_prime_display(r):
-    s0 = math.sqrt(4.0 - r * r)
+    s0 = np.sqrt(4.0 - r * r)
     return -((r - 2.0) * r * (r + 2.0) * (r * r - 6.0)
-             - 4.0 * s0 * (r * r - 3.0) * math.atan(r * s0 / (r * r - 2.0))) \
+             - 4.0 * s0 * (r * r - 3.0) * np.arctan(r * s0 / (r * r - 2.0))) \
         / (math.pi * r ** 4 * s0)
 
 
 # pieces of the four-step bound chain
 def _chain_coef(r, z):
-    return 2.0 * (1.0 - r) / (math.pi * r ** 3 * math.sqrt(1.0 + z * z))
+    return 2.0 * (1.0 - r) / (math.pi * r ** 3 * np.sqrt(1.0 + z * z))
 
 
 def _h2_mag_zero(r):
     # |h2| at z = 0: the positive branch of the arctan difference
-    return 2.0 * math.atan(r * math.sqrt(4.0 - r * r) / (2.0 - r * r))
+    return 2.0 * np.arctan(r * np.sqrt(4.0 - r * r) / (2.0 - r * r))
 
 
 def _h1_of(r, z):
-    return c_components(EvalPoint(r, z))[0]
-
-
-def _g1_of(r, z):
-    return envelope_g1(EvalPoint(r, z))
+    return _c_components_arr(r, z)[0]
 
 
 def _chain_line2(r, z):
@@ -406,26 +402,28 @@ def _chain_line2(r, z):
 
 
 def _chain_line3(r, z):
-    return (1.0 - r) / (math.pi * r ** 3 * (1.0 - r * r)) * _g1_of(r, z) \
-        + _chain_coef(r, z) * _h2_mag_zero(r)
+    return (1.0 - r) / (math.pi * r ** 3 * (1.0 - r * r)) \
+        * _envelope_g1_arr(r, z) + _chain_coef(r, z) * _h2_mag_zero(r)
 
 
 def _chain_line4(r, z):
-    return (1.0 - r) / (math.pi * r ** 3 * (1.0 - r * r)) * _g1_of(r, 0.0) \
+    return (1.0 - r) / (math.pi * r ** 3 * (1.0 - r * r)) \
+        * _envelope_g1_arr(r, 0.0) \
         + 2.0 * (1.0 - r) / (math.pi * r ** 3) * _h2_mag_zero(r)
 
 
 def _chain_close_gap(r):
     # closing equality balances only with the minus-first h2 branch
-    line4 = (1.0 - r) / (math.pi * r ** 3 * (1.0 - r * r)) * _g1_of(r, 0.0) \
+    line4 = (1.0 - r) / (math.pi * r ** 3 * (1.0 - r * r)) \
+        * _envelope_g1_arr(r, 0.0) \
         + 2.0 * (1.0 - r) / (math.pi * r ** 3) * (-_h2_mag_zero(r))
-    return abs(line4 - c_at_zero(r))
+    return np.abs(line4 - _c_at_zero_arr(r))
 
 
 def _tanh_arg_worst(r, z):
     s = _sqrt_s(r, z)
-    return max(r * z * s / (1.0 + (1.0 + r * r) * z * z),
-               r * (3.0 - r * r) * z / s)
+    return np.maximum(r * z * s / (1.0 + (1.0 + r * r) * z * z),
+                      r * (3.0 - r * r) * z / s)
 
 
 def _zero(*args):
@@ -463,31 +461,31 @@ def identity_cases():
                      _x_rep_display,
                      (b_r, b_z, b_t), "pointwise_equal"),
         IdentityCase("psi_pair",
-                     lambda r, z, t: psi_closed(EvalPoint(r, z * t), 1)
-                     + psi_closed(EvalPoint(r, z * t), -1),
+                     lambda r, z, t: _psi_closed_arr(r, z * t)
+                     + _psi_closed_arr(r, -(z * t)),
                      _pair_display,
                      (b_r, b_z, b_t), "pointwise_equal",
                      note="shipped closed form against the combined display"),
         IdentityCase("pair_integral", _pair_antideriv_display, _pair_display,
                      (b_r, b_z, b_t), "derivative_of_equals", wrt=2),
         IdentityCase("l_prime",
-                     lambda r, z: envelope_L(EvalPoint(r, z)),
+                     _envelope_L_arr,
                      _l_prime_display,
                      (b_r, b_z), "derivative_of_equals", wrt=1),
         IdentityCase("g1_prime",
-                     lambda r, z: envelope_g1(EvalPoint(r, z)),
+                     _envelope_g1_arr,
                      _g1_prime_display,
                      (b_r, b_z), "derivative_of_equals", wrt=1),
         IdentityCase("h2_prime",
-                     lambda r, z: -c_components(EvalPoint(r, z))[1],
+                     lambda r, z: -_c_components_arr(r, z)[1],
                      _h2_prime_display,
                      (b_r, b_z), "derivative_of_equals", wrt=1,
                      note="lhs is the magnitude branch of h2; the registered "
                           "derivative carries leading coefficient r -- the "
                           "doubled (2r) variant deviates by exactly 2x"),
-        IdentityCase("v_prime", v_certificate, _v_prime_display,
+        IdentityCase("v_prime", _v_certificate_arr, _v_prime_display,
                      (("r", 0.02, 0.98),), "derivative_of_equals", wrt=0),
-        IdentityCase("frakc_prime", frak_c, _frak_prime_display,
+        IdentityCase("frakc_prime", _frak_c_arr, _frak_prime_display,
                      (("r", 0.1, 0.98),), "derivative_of_equals", wrt=0,
                      note="lower margin 0.1: below it the r^3 cancellation "
                           "in the numerator amplifies finite-difference noise"),
@@ -504,8 +502,8 @@ def inequality_cases():
 
     return [
         IdentityCase("l_bound",
-                     lambda r, z: envelope_L(EvalPoint(r, z)),
-                     lambda r, z: r * z * math.sqrt(4.0 - r * r),
+                     _envelope_L_arr,
+                     lambda r, z: r * z * np.sqrt(4.0 - r * r),
                      (b_r, b_z), "pointwise_leq"),
         IdentityCase("g1_monotone", _g1_prime_display, _zero,
                      (b_r, b_z), "pointwise_leq",
@@ -514,19 +512,19 @@ def inequality_cases():
                      (b_r, b_z), "pointwise_leq",
                      note="|h2| decreases from its z = 0 maximum"),
         IdentityCase("h3_nonpositive",
-                     lambda r, z: c_components(EvalPoint(r, z))[2], _zero,
+                     lambda r, z: _c_components_arr(r, z)[2], _zero,
                      (("r", 1e-3, 1.0 - 1e-3), ("z", 0.0, 50.0)),
                      "pointwise_leq",
                      note="h3(r, 0) = 0 attained on the grid"),
-        IdentityCase("v_nonneg", _zero, v_certificate,
+        IdentityCase("v_nonneg", _zero, _v_certificate_arr,
                      (("r", 0.0, 1.0),), "pointwise_leq",
                      note="v(0) = 0 attained"),
-        IdentityCase("frakc_decreasing", frak_c, None,
+        IdentityCase("frakc_decreasing", _frak_c_arr, None,
                      (("r", 0.0, 1.0),), "pointwise_leq",
                      checker="monotone_decreasing"),
         IdentityCase("c_sup_sweep",
-                     lambda r, z: c_closed(EvalPoint(r, z)),
-                     lambda r, z: c_at_zero(r),
+                     _c_closed_arr,
+                     lambda r, z: _c_at_zero_arr(r),
                      (("r", 0.05, 0.995), b_z), "pointwise_leq",
                      grid_shape=(200, 200),
                      note="C(z, r) <= C(0, r): the sup sits at z = 0"),
@@ -535,7 +533,7 @@ def inequality_cases():
                      (b_r, b_z), "pointwise_leq",
                      note="every inverse-tanh argument stays inside (-1, 1)"),
         IdentityCase("chain_step1",
-                     lambda r, z: c_closed(EvalPoint(r, z)), _chain_line2,
+                     _c_closed_arr, _chain_line2,
                      (("r", 0.05, 0.995), b_z), "pointwise_leq", note=l4_note),
         IdentityCase("chain_step2", _chain_line2, _chain_line3,
                      (("r", 0.05, 0.995), b_z), "pointwise_leq",
@@ -548,7 +546,8 @@ def inequality_cases():
                           "the minus-first (negative-at-zero) h2 branch, the "
                           "convention shipped in c_components"),
         IdentityCase("markovic_consistency",
-                     lambda r: abs(c_at_zero(r) - (1.0 - r) * gradient_bound(r)),
+                     lambda r: np.abs(_c_at_zero_arr(r)
+                                      - (1.0 - r) * _gradient_bound_arr(r)),
                      _zero,
                      (("r", 1e-3, 1.0 - 1e-3),), "pointwise_leq",
                      note="the two normalizations of the sharp constant agree"),
@@ -600,8 +599,9 @@ def _golden_max(f, a, b, rel_tol=1e-12, max_iter=200):
 def locate_sup(r, n=4, z_max=6.0, q=None, grid_points=512):
     """Maximize z -> C(z, r): log-grid seed + golden-section refinement.
 
-    For n = 4 the profile comes from the closed form; otherwise from the
-    quadrature representation.  The profile does not decay -- it levels
+    For n = 4 the profile comes from the closed form, whose seed grid is
+    one array call; otherwise from the quadrature representation, one
+    call per grid point.  The profile does not decay -- it levels
     off at the tangential-direction value as z grows -- so the search
     window [0, z_max] is doubled only while the grid argmax keeps landing
     on the right edge, meaning the maximum might still lie beyond it.
@@ -609,6 +609,9 @@ def locate_sup(r, n=4, z_max=6.0, q=None, grid_points=512):
     if n == 4:
         def point(z):
             return c_closed(EvalPoint(r, z))
+
+        def profile(zs):
+            return _c_closed_arr(r, zs)
     else:
         ps = ParamSet.from_radius(r, n)
         qq = q if q is not None else QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
@@ -616,9 +619,12 @@ def locate_sup(r, n=4, z_max=6.0, q=None, grid_points=512):
         def point(z):
             return c_numeric(EvalPoint(r, z), ps, qq)[0]
 
+        def profile(zs):
+            return np.array([point(z) for z in zs])
+
     for _ in range(20):
         zs = np.concatenate([[0.0], np.geomspace(1e-8, z_max, grid_points - 1)])
-        vals = np.array([point(z) for z in zs])
+        vals = profile(zs)
         i = int(np.argmax(vals))
         if i + 2 < len(zs):
             break

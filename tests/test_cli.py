@@ -202,6 +202,13 @@ def test_oracle_numerical_error_exit(capsys):
     assert "evaluation failed" in err
 
 
+def test_oracle_rejects_z_option(capsys):
+    # the oracle takes a direction angle, not the closed form's z
+    code, _, err = run_cli(capsys, "oracle", "--r", "0.5", "--z", "1")
+    assert code == 2
+    assert "--z" in err
+
+
 def test_sweep_disk(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--n", "2", "--r-steps", "2",
                            "--theta-steps", "5")

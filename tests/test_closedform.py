@@ -11,11 +11,13 @@ import math
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ballgrad import (
     EvalPoint,
+    EvaluationError,
     SeriesBranchWarning,
     c_at_zero,
     c_closed,
@@ -30,7 +32,19 @@ from ballgrad import (
     sharp_constant_report,
     v_certificate,
 )
-from ballgrad.closedform4 import SERIES_R_THRESHOLD, SERIES_Z_THRESHOLD
+from ballgrad.closedform4 import (
+    SERIES_R_THRESHOLD,
+    SERIES_Z_THRESHOLD,
+    _c_at_zero_arr,
+    _c_closed_arr,
+    _c_components_arr,
+    _envelope_g1_arr,
+    _envelope_L_arr,
+    _frak_c_arr,
+    _gradient_bound_arr,
+    _psi_closed_arr,
+    _v_certificate_arr,
+)
 
 # 60-digit mpmath evaluations, rounded to double precision.
 FRAK_C_REF = {
@@ -219,6 +233,67 @@ def test_series_seam_continuity():
     lo = frak_c(SERIES_R_THRESHOLD * (1 - 1e-9))
     hi = frak_c(SERIES_R_THRESHOLD * (1 + 1e-9))
     assert abs(lo - hi) < 1e-10
+
+
+# radii and z values on both sides of both series seams
+SEAM_R = np.array([SERIES_R_THRESHOLD * (1 - 1e-9),
+                   SERIES_R_THRESHOLD * (1 + 1e-9), 0.05, 0.3, 0.7, 0.99])
+SEAM_Z = np.array([0.0, SERIES_Z_THRESHOLD * (1 - 1e-9),
+                   SERIES_Z_THRESHOLD * (1 + 1e-9), 1e-3, 0.8, 4.0, 50.0])
+
+
+def test_array_forms_match_scalar_wrappers():
+    """Each scalar function returns exactly its array form's element."""
+    r, z = np.meshgrid(SEAM_R, SEAM_Z, indexing="ij")
+    pts = [EvalPoint(a, b) for a, b in zip(r.flat, z.flat)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SeriesBranchWarning)
+        cases = [
+            (_c_closed_arr(r, z), [c_closed(p) for p in pts]),
+            (_envelope_L_arr(r, z), [envelope_L(p) for p in pts]),
+            (_envelope_g1_arr(r, z), [envelope_g1(p) for p in pts]),
+            (_psi_closed_arr(r, z), [psi_closed(p, 1) for p in pts]),
+            (_psi_closed_arr(r, -z), [psi_closed(p, -1) for p in pts]),
+        ]
+    for k, h in enumerate(_c_components_arr(r, z)):
+        cases.append((h, [c_components(p)[k] for p in pts]))
+    closed_r = np.concatenate([[0.0], SEAM_R, [1.0]])
+    cases += [
+        (_frak_c_arr(closed_r), [frak_c(x) for x in closed_r]),
+        (_v_certificate_arr(closed_r), [v_certificate(x) for x in closed_r]),
+        (_c_at_zero_arr(SEAM_R), [c_at_zero(x) for x in SEAM_R]),
+        (_gradient_bound_arr(closed_r[:-1]),
+         [gradient_bound(x) for x in closed_r[:-1]]),
+    ]
+    for arr, scalars in cases:
+        assert arr.ravel().tolist() == scalars
+
+
+def test_v_certificate_is_exactly_zero_at_origin():
+    v0 = v_certificate(0.0)
+    assert v0 == 0.0 and math.copysign(1.0, v0) == 1.0
+    assert _v_certificate_arr(np.array([0.0, 0.5]))[0] == 0.0
+
+
+def test_series_branch_warning_once_per_call():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _c_closed_arr(np.array([5e-4, 0.5, 2e-4]), np.array([0.0, 1.0, 3.0]))
+        _c_closed_arr(np.array([[5e-4], [0.5]]), SEAM_Z)
+        _c_closed_arr(np.array([0.3, 0.6]), 1.0)
+        c_closed(EvalPoint(5e-4, 1.0))
+    assert [w.category for w in caught] == [SeriesBranchWarning] * 3
+
+
+def test_sanity_checks_raise_typed_errors_naming_the_point():
+    # r > 1 breaks the positivity of the arctan denominator
+    with pytest.raises(EvaluationError, match=r"\(r, z\) = \(1\.5, 0\.5\)"):
+        _psi_closed_arr(1.5, np.array([0.5]))
+    with pytest.raises(EvaluationError, match=r"\(r, z\) = \(1\.5, 0\.5\)"):
+        _c_closed_arr(np.array([0.5, 1.5, 1.7]), 0.5)
+    # at r = 1 the second inverse-tanh argument of L rounds to 1
+    with pytest.raises(ValueError, match=r"in L at \(r, z\) = \(1\.0, 100000000\.0\)"):
+        _envelope_L_arr(np.array([0.5, 1.0]), 1e8)
 
 
 @pytest.mark.parametrize("n,expected", sorted(HALFSPACE_REF.items()))

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from ballgrad import EvalPoint, QuadratureError, c_closed, psi_closed
+from ballgrad.backend import get_backend
 from ballgrad.kernelint import (
     ParamSet,
     QuadratureSpec,
     adaptive_quad,
     c_numeric,
-    psi_integrand,
     psi_numeric,
     q_partial_fractions,
     sphere_area,
@@ -118,19 +118,10 @@ def test_adaptive_quad_interval_validation():
 def test_partial_fractions_match_integrand():
     """Eight-term decomposition == direct rational integrand (n = 4)."""
     rng = np.random.default_rng(42)
-    for _ in range(300):
-        r = rng.uniform(0.02, 0.98)
-        z = rng.uniform(0.0, 5.0)
-        w = rng.uniform(0.0, 8.0)
-        ps = ParamSet.from_radius(r, 4)
-        a = psi_integrand(w, EvalPoint(r, z), ps)
-        b = q_partial_fractions(w, r, z)
-        assert abs(a - b) <= 1e-11 * (1.0 + abs(a))
-
-
-def test_psi_integrand_rejects_negative_w():
-    with pytest.raises(ValueError):
-        psi_integrand(-0.5, EvalPoint(0.5, 1.0), ParamSet.from_radius(0.5, 4))
+    r, z, w = rng.uniform((0.02, 0.0, 0.0), (0.98, 5.0, 8.0), (300, 3)).T
+    a = get_backend().psi_integrand_batch(w, r, z, 4, np.empty(300))
+    b = q_partial_fractions(w, r, z)
+    assert np.all(np.abs(a - b) <= 1e-11 * (1.0 + np.abs(a)))
 
 
 # ---- psi_numeric vs the closed form ---------------------------------------
