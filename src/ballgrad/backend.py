@@ -1,9 +1,11 @@
 """Where callers find the batched integrand kernels.
 
-The kernels live in ``_kernels_py``.  ``kernelint`` and
+The kernels live in ``_kernels_py``: plain numpy functions that take
+broadcastable arrays and return their result.  ``kernelint`` and
 ``poisson_oracle`` look them up through :func:`get_backend` at call
 time, so a wrapper installed on that one module (the layer tracer in
-``perfbench/``) sees every kernel call.
+``perfbench/``) sees every kernel call, the Monte Carlo oracle's
+included.
 """
 
 from . import _kernels_py

@@ -6,7 +6,7 @@ Subcommands::
     curve      CSV curves of the radial quantities (or a z profile)
     verify     verification suites: identities | lemmas | sup | conjecture | oracle
     oracle     one direct spherical-quadrature query
-    sweep      direction-profile sweep over a radius grid
+    sweep      direction-profile sweep over a radius grid (verify conjecture)
 
 Exit codes: 0 pass, 1 verified violation, 2 usage error, 3 numerical
 failure.  All numbers print with 17 significant digits so text output
@@ -26,8 +26,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .closedform4 import (EvalPoint, c_at_zero, c_closed, disk_constant,
-                          frak_c, gradient_bound)
+from .closedform4 import (EvalPoint, _c_at_zero_arr, _c_closed_arr,
+                          _frak_c_arr, _gradient_bound_arr, c_at_zero,
+                          disk_constant, frak_c, gradient_bound)
 from .exceptions import EvaluationError, QuadratureError
 from .kernelint import ParamSet, QuadratureSpec, c_numeric
 from .poisson_oracle import (DirectionalQuery, SphereQuadrature,
@@ -46,6 +47,12 @@ _DEFAULT_TOLS = {
     "closed_vs_quadrature": 1e-9,
     "oracle_vs_closed": 1e-6,
     "inequalities": 1e-12,
+}
+#: Suite -> the key of _DEFAULT_TOLS that its --tol overrides.
+_TOL_KEYS = {
+    "identities": "identities",
+    "lemmas": "inequalities",
+    "oracle": "oracle_vs_closed",
 }
 
 
@@ -72,7 +79,7 @@ def _fmt(x):
 def _manifest(args, argv, tols, tags, t0):
     wall = None if args.no_timing else time.perf_counter() - t0
     return RunManifest(tool_version=__version__, command_line=list(argv),
-                       tolerances=tols, seed=getattr(args, "seed", _DEFAULT_SEED),
+                       tolerances=tols, seed=args.seed,
                        method_tags=sorted(set(tags)), wall_time=wall)
 
 
@@ -118,8 +125,8 @@ def cmd_constant(args, argv):
 
     if n == 4:
         fc = frak_c(r)
-        c0 = fc / (1.0 + r)
-        gb = fc / (1.0 - r * r) if r < 1.0 else None
+        c0 = float(_c_at_zero_arr(r))
+        gb = gradient_bound(r) if r < 1.0 else None
         tag = "closed_form"
     elif n == 2:
         gb0 = disk_constant(r) if r < 1.0 else None
@@ -155,9 +162,9 @@ def cmd_constant(args, argv):
 # ---------------------------------------------------------------------------
 
 _RADIAL_QUANTITIES = {
-    "frak_c": frak_c,
-    "c_at_zero": lambda r: frak_c(r) / (1.0 + r),
-    "gradient_bound": gradient_bound,
+    "frak_c": _frak_c_arr,
+    "c_at_zero": _c_at_zero_arr,
+    "gradient_bound": _gradient_bound_arr,
 }
 
 
@@ -172,15 +179,18 @@ def cmd_curve(args, argv):
         if args.z_max <= 0.0:
             raise UsageError("--z-max must be positive")
         grid = np.linspace(0.0, args.z_max, args.steps)
-        rows = [(z, c_closed(EvalPoint(args.r, float(z)))) for z in grid]
+        values = _c_closed_arr(args.r, grid)
         header = "z,value"
     else:
-        fn = _RADIAL_QUANTITIES[args.quantity]
         if not (0.0 <= args.r_min < args.r_max <= 1.0):
             raise UsageError(f"bad radius range [{args.r_min}, {args.r_max}]")
+        if args.quantity == "gradient_bound" and args.r_max >= 1.0:
+            raise UsageError("gradient_bound diverges at r = 1: "
+                             f"--r-max must be < 1, got {args.r_max}")
         grid = np.linspace(args.r_min, args.r_max, args.steps)
-        rows = [(r, fn(float(r))) for r in grid]
+        values = _RADIAL_QUANTITIES[args.quantity](grid)
         header = "r,value"
+    rows = list(zip(grid, values))
 
     manifest = _manifest(args, argv, {}, ["closed_form"], t0)
     if args.json:
@@ -220,7 +230,7 @@ def _sup_reports(args):
     return reports
 
 
-def _oracle_reports(args):
+def _oracle_reports(args, tol):
     sq = _sphere_quadrature(args)
     reports = []
 
@@ -260,7 +270,6 @@ def _oracle_reports(args):
         passed=dev2 <= 1e-8, seed=args.seed, method=sq.method,
         note="classical disk constant 4/pi at the center"))
 
-    tol = args.tol if args.tol is not None else _DEFAULT_TOLS["oracle_vs_closed"]
     worst_cmp = 0.0
     where = ()
     for r in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -280,15 +289,18 @@ def cmd_verify(args, argv):
     t0 = time.perf_counter()
     tols = dict(_DEFAULT_TOLS)
     if args.tol is not None:
-        tols[args.suite] = args.tol
+        if args.suite not in _TOL_KEYS:
+            raise UsageError(f"--tol applies to the {', '.join(_TOL_KEYS)} "
+                             f"suites, not to {args.suite}")
+        tols[_TOL_KEYS[args.suite]] = args.tol
 
     if args.suite == "identities":
-        tol = args.tol if args.tol is not None else _DEFAULT_TOLS["identities"]
-        reports = proofcheck.run_identity_suite(tolerance=tol, seed=args.seed)
+        reports = proofcheck.run_identity_suite(tolerance=tols["identities"],
+                                                seed=args.seed)
         tags = ["richardson_fd", "sobol"]
     elif args.suite == "lemmas":
-        tol = args.tol if args.tol is not None else _DEFAULT_TOLS["inequalities"]
-        reports = proofcheck.run_inequality_suite(tolerance=tol, seed=args.seed)
+        reports = proofcheck.run_inequality_suite(
+            tolerance=tols["inequalities"], seed=args.seed)
         tags = ["grid_sweep"]
     elif args.suite == "sup":
         reports = _sup_reports(args)
@@ -300,7 +312,7 @@ def cmd_verify(args, argv):
         reports = [proofcheck.conjecture_report(args.n, r_grid, theta_grid, sq)]
         tags = [sq.method]
     else:  # oracle
-        reports = _oracle_reports(args)
+        reports = _oracle_reports(args, tols["oracle_vs_closed"])
         tags = [args.method.replace("-", "_"), "central_fd"]
 
     manifest = _manifest(args, argv, tols, tags, t0)
@@ -321,7 +333,7 @@ def cmd_verify(args, argv):
 
 
 # ---------------------------------------------------------------------------
-# oracle / sweep
+# oracle
 # ---------------------------------------------------------------------------
 
 def cmd_oracle(args, argv):
@@ -344,25 +356,6 @@ def cmd_oracle(args, argv):
     return _EXIT_PASS
 
 
-def cmd_sweep(args, argv):
-    t0 = time.perf_counter()
-    sq = _sphere_quadrature(args)
-    r_grid = np.linspace(0.05, 0.95, args.r_steps)
-    theta_grid = np.linspace(0.0, math.pi / 2.0, args.theta_steps)
-    rep = proofcheck.conjecture_report(args.n, r_grid, theta_grid, sq)
-    manifest = _manifest(args, argv, {}, [sq.method], t0)
-    payload = {"manifest": asdict(manifest), "reports": [asdict(rep)]}
-    if args.json or args.out:
-        _emit_json(payload, args.out)
-    if not args.json:
-        status = "PASS" if rep.passed else "FAIL"
-        print(f"{status} {rep.case_name}: worst={_fmt(rep.worst_violation)}"
-              f" ({rep.note})")
-    if args.n != 4:
-        return _EXIT_PASS
-    return _EXIT_PASS if rep.passed else _EXIT_VIOLATION
-
-
 # ---------------------------------------------------------------------------
 # parser plumbing
 # ---------------------------------------------------------------------------
@@ -375,12 +368,13 @@ def build_parser():
     common.add_argument("--no-timing", action="store_true",
                         help="omit wall time from the manifest (reproducible bytes)")
     common.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the suite's default tolerance")
-    common.add_argument("--method", choices=["product-gauss", "monte-carlo"],
-                        default="product-gauss")
-    common.add_argument("--samples", type=int, default=200_000,
-                        help="Monte Carlo sample count")
+
+    # sphere quadrature: commands that query the Poisson oracle
+    oracle_opts = argparse.ArgumentParser(add_help=False)
+    oracle_opts.add_argument("--method", choices=["product-gauss", "monte-carlo"],
+                             default="product-gauss")
+    oracle_opts.add_argument("--samples", type=int, default=200_000,
+                             help="Monte Carlo sample count")
 
     parser = argparse.ArgumentParser(
         prog="ballgrad",
@@ -406,27 +400,31 @@ def build_parser():
     p.add_argument("--z-max", type=float, default=10.0)
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("verify", parents=[common], help="verification suites")
+    p = sub.add_parser("verify", parents=[common, oracle_opts],
+                       help="verification suites")
     p.add_argument("suite", choices=["identities", "lemmas", "sup",
                                      "conjecture", "oracle"])
+    p.add_argument("--tol", type=float, default=None,
+                   help="override the suite's default tolerance "
+                        f"({', '.join(_TOL_KEYS)} suites)")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--r-steps", type=int, default=19)
     p.add_argument("--theta-steps", type=int, default=50)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=[common, oracle_opts],
                        help="one spherical-quadrature query")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--theta", type=float, default=0.0)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="direction-profile sweep (conjecture check)")
+    p = sub.add_parser("sweep", parents=[common, oracle_opts],
+                       help="direction-profile sweep (verify conjecture)")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--r-steps", type=int, default=19)
     p.add_argument("--theta-steps", type=int, default=50)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_verify, suite="conjecture", tol=None)
 
     return parser
 

@@ -215,8 +215,7 @@ def psi_numeric(p, sign, ps, q=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)):
     kern = backend.get_backend()
 
     def f(w):
-        w = np.ascontiguousarray(w, dtype=float)
-        return kern.psi_integrand_batch(w, ps.r, zs, ps.n, np.empty_like(w))
+        return kern.psi_integrand_batch(w, ps.r, zs, ps.n)
 
     return adaptive_quad(f, 0.0, upper, q)
 
@@ -273,8 +272,7 @@ def c_numeric(p, ps, q=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
 
         def f(t):
             t = np.asarray(t)
-            w = np.ones_like(t) if n == 4 else (1.0 - t * t) ** e
-            return _psi_pair_at(ps, p, t, q) * w
+            return _psi_pair_at(ps, p, t, q) * (1.0 - t * t) ** e
         val, err = adaptive_quad(f, 0.0, 1.0, q)
 
     return pref * val / norm, pref * err / norm

@@ -15,9 +15,9 @@ The integrand has a kink where <grad P, v> changes sign.  Along each
 azimuthal node the sign factor is a constant plus one sinusoid in the
 polar angle, so its zeros have a closed form; the product rule splits
 the polar interval there into three pieces (padding with zero-width
-ones), which restores high-order convergence.  A query is one numpy
-pass: one kernel call over every (azimuthal node, piece, polar node),
-with the Gauss rules built once per node count and cached.
+ones), which restores high-order convergence.  A query makes one
+kernel call per piece, over every (azimuthal node, polar node), with
+the Gauss rules built once per node count and cached.
 """
 
 import functools
@@ -151,7 +151,12 @@ def _polar_integrals(n, r, ct, st, u, nodes, signed=False):
 
     The polar interval is split at the kinks into three pieces (one or
     two of zero width when there are fewer kinks), and the kernel is
-    evaluated once on all (u, piece, node) points.
+    evaluated once per piece on all (u, node) points.  The whole (u,
+    piece, node) grid at once peaks at about 1.3 MB of temporaries at
+    the default rule, near glibc's heap trim threshold, so whether each
+    query gave the heap top back and page-faulted it in again (about
+    60 % slower) depended on the process's heap layout.  A piece at a
+    time peaks at about 0.5 MB.
 
     With ``signed=True`` the integrand is F times the sign of F read off
     the same nodes (the extremal boundary-data construction); the two
@@ -162,17 +167,17 @@ def _polar_integrals(n, r, ct, st, u, nodes, signed=False):
     kinks = _kink_points(n, r, ct, st, u)
     ends = np.concatenate([np.zeros((u.size, 1)), kinks,
                            np.full((u.size, 1), math.pi)], axis=1)
-    a, b = ends[:, :-1], ends[:, 1:]
-    half = 0.5 * (b - a)
-    phi = (0.5 * (a + b))[..., None] + half[..., None] * xg
-    cphi = np.cos(phi).ravel()
-    sphi = np.sin(phi).ravel()
-    uu = np.repeat(u, phi.shape[1] * nodes)
-    F = backend.get_backend().grad_dot_batch(cphi, sphi, uu, r, n, ct, st,
-                                             np.empty_like(cphi))
-    vals = F * np.sign(F) if signed else np.abs(F)
-    vals = (vals * sphi ** (n - 2)).reshape(phi.shape)
-    return half * np.sum(vals * wg, axis=-1)
+    kern = backend.get_backend()
+    pieces = np.empty((u.size, 3))
+    for j in range(3):
+        a, b = ends[:, j], ends[:, j + 1]
+        half = 0.5 * (b - a)
+        phi = (0.5 * (a + b))[:, None] + half[:, None] * xg
+        sphi = np.sin(phi)
+        F = kern.grad_dot_batch(np.cos(phi), sphi, u[:, None], r, n, ct, st)
+        vals = F * np.sign(F) if signed else np.abs(F)
+        pieces[:, j] = half * np.sum(vals * sphi ** (n - 2) * wg, axis=-1)
+    return pieces
 
 
 def _tangential_constant(n, r, nodes):
@@ -218,12 +223,8 @@ def _mc_constant(q, sq):
     rng = np.random.Generator(np.random.Philox(sq.seed))
     zeta = rng.standard_normal((sq.samples, n))
     zeta /= np.linalg.norm(zeta, axis=1, keepdims=True)
-    zn = zeta[:, n - 1]
-    z1 = zeta[:, 0]
-    rho2 = 1.0 - 2.0 * r * zn + r * r
-    xv = r * ct
-    xz_v = xv - (zn * ct + z1 * st)
-    F = -2.0 * xv / rho2 ** (n / 2.0) - n * (1.0 - r * r) * xz_v / rho2 ** (n / 2.0 + 1.0)
+    F = backend.get_backend().grad_dot_batch(zeta[:, n - 1], zeta[:, 0], 1.0,
+                                             r, n, ct, st)
     g = np.abs(F)
     value = float(np.mean(g))
     stderr = float(np.std(g, ddof=1) / math.sqrt(sq.samples))
@@ -338,6 +339,9 @@ def kernel_mass(r, n, nodes=200):
     phi = half + half * xg
     P = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(phi) + r * r) ** (n / 2.0)
     if n == 2:
+        # the general line below with sphere_area(1) = 2 and sin^0 = 1,
+        # but it rounds in another order: about 1 radius in 6 would move
+        # by 1 ulp
         return half * float(wg @ P) / math.pi
     w = np.sin(phi) ** (n - 2)
     return sphere_area(n - 1) / sphere_area(n) * half * float(wg @ (P * w))

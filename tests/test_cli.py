@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from ballgrad.cli import main
+from ballgrad.cli import _DEFAULT_TOLS, main
+from ballgrad.closedform4 import c_at_zero, frak_c, gradient_bound
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +59,18 @@ def test_constant_disk(capsys):
     assert math.isclose(rep["frak_c"], 4.0 / math.pi, rel_tol=1e-14)
 
 
+def test_constant_prints_the_library_values(capsys):
+    # near the sphere frak_c/(1 - r*r) and frak_c/(1 + r) round differently
+    # from gradient_bound's factored form and from c_at_zero
+    r = 0.999
+    code, out, _ = run_cli(capsys, "constant", "--r", str(r), "--json", "--no-timing")
+    assert code == 0
+    (rep,) = json.loads(out)["reports"]
+    assert rep["frak_c"] == frak_c(r)
+    assert rep["c_at_zero"] == c_at_zero(r)
+    assert rep["gradient_bound"] == gradient_bound(r)
+
+
 def test_constant_usage_errors(capsys):
     assert run_cli(capsys, "constant", "--r", "1.5")[0] == 2
     assert run_cli(capsys, "constant", "--r", "-0.1")[0] == 2
@@ -101,6 +114,26 @@ def test_curve_out_writes_manifest_sidecar(capsys, tmp_path):
     assert out_path.read_text().startswith("r,value")
     sidecar = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
     assert sidecar["manifest"]["tool_version"]
+
+
+@pytest.mark.parametrize("quantity,fn", [("frak_c", frak_c),
+                                         ("c_at_zero", c_at_zero),
+                                         ("gradient_bound", gradient_bound)])
+def test_curve_prints_the_library_values(capsys, quantity, fn):
+    code, out, _ = run_cli(capsys, "curve", "--quantity", quantity, "--steps", "5",
+                           "--r-min", "0.5", "--r-max", "0.999",
+                           "--json", "--no-timing")
+    assert code == 0
+    rows = json.loads(out)["reports"][0]["rows"]
+    assert rows[-1][0] == 0.999
+    assert all(v == fn(r) for r, v in rows)
+
+
+def test_curve_gradient_bound_needs_r_max_below_one(capsys):
+    # the default --r-max is 1, where the bound diverges
+    code, _, err = run_cli(capsys, "curve", "--quantity", "gradient_bound")
+    assert code == 2
+    assert "--r-max" in err
 
 
 def test_curve_rejects_bad_steps(capsys):
@@ -166,15 +199,47 @@ def test_verify_unknown_suite(capsys):
     assert run_cli(capsys, "verify", "nope")[0] == 2
 
 
+@pytest.mark.parametrize("suite,key", [("identities", "identities"),
+                                       ("lemmas", "inequalities"),
+                                       ("oracle", "oracle_vs_closed")])
+def test_verify_tol_recorded_under_the_key_it_overrides(capsys, suite, key):
+    code, out, _ = run_cli(capsys, "verify", suite, "--tol", "0.25",
+                           "--json", "--no-timing")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["manifest"]["tolerances"] == {**_DEFAULT_TOLS, key: 0.25}
+    assert 0.25 in {rep["tolerance"] for rep in doc["reports"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "sup", "--tol", "0.5"),
+    ("verify", "conjecture", "--tol", "0.5"),
+    ("constant", "--r", "0.5", "--tol", "0.5"),
+    ("curve", "--tol", "0.5"),
+    ("oracle", "--r", "0.5", "--tol", "0.5"),
+    ("sweep", "--tol", "0.5"),
+    ("constant", "--r", "0.5", "--method", "monte-carlo"),
+    ("curve", "--samples", "100"),
+])
+def test_options_rejected_where_nothing_reads_them(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert argv[-2] in err
+
+
 def test_verify_byte_determinism(capsys):
     _, a, _ = run_cli(capsys, "verify", "identities", "--json", "--no-timing")
     _, b, _ = run_cli(capsys, "verify", "identities", "--json", "--no-timing")
     assert a == b
-    # a different seed must change the sample set but still pass
+    # the Sobol sample is unscrambled, so the seed is only recorded
     code, c, _ = run_cli(capsys, "verify", "identities", "--json",
                          "--no-timing", "--seed", "7")
     assert code == 0
-    assert c != a
+    reports_a = json.loads(a)["reports"]
+    reports_c = json.loads(c)["reports"]
+    assert [rep.pop("seed") for rep in reports_c] == [7] * len(reports_c)
+    assert {rep.pop("seed") for rep in reports_a} == {20220417}
+    assert reports_c == reports_a
 
 
 # ---- oracle / sweep -------------------------------------------------------

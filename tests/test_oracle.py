@@ -219,7 +219,7 @@ def _sign_factor(n, r, ct, st, u, phi):
     phi = np.asarray(phi, dtype=float)
     cphi, sphi = np.cos(phi), np.sin(phi)
     rho2 = 1.0 - 2.0 * r * cphi + r * r
-    F = grad_dot_batch(cphi, sphi, u, r, n, ct, st, np.empty_like(phi))
+    F = grad_dot_batch(cphi, sphi, u, r, n, ct, st)
     return F * rho2 ** ((n + 2) / 2.0)
 
 
