@@ -338,8 +338,8 @@ def sharp_constant_report(r):
     if not (0.0 <= r < 1.0):
         raise ValueError(f"r must lie in [0, 1), got {r}")
     fc = frak_c(r)
-    gb = fc / ((1.0 - r) * (1.0 + r))
-    c0 = fc / (1.0 + r)
+    gb = float(_gradient_bound_arr(r))
+    c0 = float(_c_at_zero_arr(r))
     method = "series_branch" if r < SERIES_R_THRESHOLD else "closed_form"
     return SharpConstantReport(r=r, frak_c=fc, c_at_zero=c0,
                                gradient_bound=gb, method=method)

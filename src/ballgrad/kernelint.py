@@ -4,6 +4,12 @@ Contains the profile integrand and its partial-fraction cross-check, the
 adaptive Gauss-Kronrod engine shared by every quadrature in the package,
 and the integral representation of the directional constant C(z, r)
 for n >= 3.
+
+The engine has a vector mode: an integrand that returns one row per
+component has all its integrals done on one shared panel tree.  The
+profile integrals Psi(+-z t) at the t nodes of one outer panel of
+C(z, r) go through it as one batch, in every dimension n = 4 included,
+so nothing here uses the n = 4 closed forms it is checked against.
 """
 
 import heapq
@@ -13,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .closedform4 import EvalPoint, _psi_closed_arr
 from .exceptions import QuadratureError
 
 _EPS = np.finfo(float).eps
@@ -51,6 +56,10 @@ _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
 _WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
 _GAUSS_IDX = np.arange(1, 15, 2)  # odd positions carry the embedded G7 rule
 _WEIGHTS_G = np.concatenate([_WG[:-1], _WG[::-1]])
+# vector mode: both rules as the columns of one (15, 2) matrix
+_WEIGHTS_KG = np.zeros((15, 2))
+_WEIGHTS_KG[:, 0] = _WEIGHTS_K
+_WEIGHTS_KG[_GAUSS_IDX, 1] = _WEIGHTS_G
 
 
 @dataclass(frozen=True)
@@ -137,11 +146,20 @@ def _gk_panel(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = np.asarray(f(mid + half * _NODES), dtype=float)
-    if fx.shape != _NODES.shape:
-        raise ValueError("integrand must map an ndarray to an ndarray of the same shape")
-    k15 = half * float(_WEIGHTS_K @ fx)
-    g7 = half * float(_WEIGHTS_G @ fx[_GAUSS_IDX])
-    return k15, abs(k15 - g7)
+    if fx.shape == _NODES.shape:
+        k15 = half * float(_WEIGHTS_K @ fx)
+        g7 = half * float(_WEIGHTS_G @ fx[_GAUSS_IDX])
+        return k15, abs(k15 - g7)
+    if fx.ndim != 2 or fx.shape[1:] != _NODES.shape:
+        raise ValueError("integrand must map the 15 abscissae to an ndarray "
+                         "of shape (15,) or (m, 15)")
+    k15, g7 = half * (fx @ _WEIGHTS_KG).T
+    return k15, np.abs(k15 - g7)
+
+
+def _fsum_rows(rows):
+    # math.fsum per component of a list of equal-length vectors
+    return np.array([math.fsum(col) for col in np.array(rows).T.tolist()])
 
 
 def adaptive_quad(f, a, b, q=QuadratureSpec()):
@@ -152,6 +170,14 @@ def adaptive_quad(f, a, b, q=QuadratureSpec()):
     when max_subdivisions panels cannot reach the tolerance.  Splitting
     follows a deterministic largest-error-first order (ties broken by
     insertion counter), so results are reproducible bit-for-bit.
+
+    Vector mode: when ``f`` maps the 15 abscissae of a panel to an array
+    of shape (m, 15), the m integrals share one panel tree.  The value
+    and error estimate are then m-vectors, panels are split in order of
+    their largest component error, and the loop stops once every
+    component meets its own tolerance max(abs_tol, rel_tol*|I_i|).  A
+    QuadratureError carries the arrays and names the components that
+    missed.
 
     ``endpoint_mode="algebraic_singularity"`` integrates through an
     algebraic singularity at the UPPER endpoint (an inverse-square-root
@@ -172,34 +198,56 @@ def adaptive_quad(f, a, b, q=QuadratureSpec()):
         return adaptive_quad(g, 0.0, c, inner)
 
     val, err = _gk_panel(f, a, b)
-    heap = [(-err, 0, a, b, val, err)]
+    vector = np.ndim(val) == 1
+    worst = np.ndarray.max if vector else float
+    heap = [(-worst(err), 0, a, b, val, err)]
     counter = 1
     total, total_err = val, err
-    while total_err > max(q.abs_tol, q.rel_tol * abs(total)):
+    while True:
+        missed = total_err > np.maximum(q.abs_tol, q.rel_tol * np.abs(total))
+        if not missed.any():
+            break
         if len(heap) >= q.max_subdivisions:
+            where = f" in components {np.flatnonzero(missed).tolist()}" if vector else ""
             raise QuadratureError(
-                f"tolerance not reached after {len(heap)} panels "
-                f"(err={total_err:.3g}); tolerance too tight or integrand pathological",
+                f"tolerance not reached after {len(heap)} panels{where} "
+                f"(err={worst(total_err):.3g}); tolerance too tight or "
+                f"integrand pathological",
                 value=total, err_estimate=total_err)
         neg_e, _, pa, pb, pv, pe = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
         lv, le = _gk_panel(f, pa, pm)
         rv, re = _gk_panel(f, pm, pb)
-        heapq.heappush(heap, (-le, counter, pa, pm, lv, le))
-        heapq.heappush(heap, (-re, counter + 1, pm, pb, rv, re))
+        heapq.heappush(heap, (-worst(le), counter, pa, pm, lv, le))
+        heapq.heappush(heap, (-worst(re), counter + 1, pm, pb, rv, re))
         counter += 2
         total = total - pv + lv + rv
         total_err = total_err - pe + le + re
     # deterministic, accurate final reduction over panels ordered by position
     panels = sorted(heap, key=lambda t: t[2])
+    if vector:
+        return _fsum_rows([p[4] for p in panels]), _fsum_rows([p[5] for p in panels])
     value = math.fsum(p[4] for p in panels)
     err = math.fsum(p[5] for p in panels)
     return value, err
 
 
-def _upper_limit(z_signed, ps):
-    return (z_signed + math.sqrt(z_signed * z_signed + 1.0 - ps.alpha ** 2)) \
-        / (1.0 - ps.alpha)
+def _psi_numeric_arr(zs, ps, q):
+    """Profile integrals Psi(z) for a 1-D array of signed z, in one
+    vector-mode quadrature.
+
+    The integral over [0, U(z)] is mapped to s in [0, 1] by w = U(z) s,
+    so every z shares one panel tree and each panel is one kernel call
+    on an (m, 15) grid.  Returns (values, err_estimates) as arrays.
+    """
+    zs = np.asarray(zs, dtype=float)[:, None]
+    upper = (zs + np.sqrt(zs * zs + 1.0 - ps.alpha ** 2)) / (1.0 - ps.alpha)
+    kern = backend.get_backend()
+
+    def f(s):
+        return kern.psi_integrand_batch(upper * s, ps.r, zs, ps.n) * upper
+
+    return adaptive_quad(f, 0.0, 1.0, q)
 
 
 def psi_numeric(p, sign, ps, q=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)):
@@ -210,30 +258,18 @@ def psi_numeric(p, sign, ps, q=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)):
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    zs = sign * p.z
-    upper = _upper_limit(zs, ps)
-    kern = backend.get_backend()
-
-    def f(w):
-        return kern.psi_integrand_batch(w, ps.r, zs, ps.n)
-
-    return adaptive_quad(f, 0.0, upper, q)
+    val, err = _psi_numeric_arr([sign * p.z], ps, q)
+    return float(val[0]), float(err[0])
 
 
 def _psi_pair_at(ps, p, tgrid, q):
-    """Psi(z t) + Psi(-z t) for an array of t values."""
-    if ps.n == 4:
-        zt = p.z * np.asarray(tgrid)
-        return _psi_closed_arr(ps.r, zt) + _psi_closed_arr(ps.r, -zt)
+    """Psi(z t) + Psi(-z t) for an array of t values, all 2m profile
+    integrals in one vector-mode quadrature."""
     inner = QuadratureSpec(abs_tol=q.abs_tol / 10.0, rel_tol=q.rel_tol / 10.0,
                            max_subdivisions=q.max_subdivisions)
-    out = np.empty(len(tgrid))
-    for i, t in enumerate(np.asarray(tgrid)):
-        pt = EvalPoint(ps.r, abs(p.z * t))
-        vp, _ = psi_numeric(pt, 1, ps, inner)
-        vm, _ = psi_numeric(pt, -1, ps, inner)
-        out[i] = vp + vm
-    return out
+    zt = p.z * np.asarray(tgrid)
+    vals, _ = _psi_numeric_arr(np.concatenate([zt, -zt]), ps, inner)
+    return vals[:zt.size] + vals[zt.size:]
 
 
 def c_numeric(p, ps, q=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
@@ -241,8 +277,11 @@ def c_numeric(p, ps, q=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
     """Directional constant C(z, r) by quadrature of its integral
     representation; oracle pair of c_closed for n = 4.
 
-    The inner profile values come from the closed form when n = 4 (fast
-    path) and from psi_numeric otherwise.  For n = 3 the weight
+    The inner profile values Psi(+-z t) are integrals too, in every
+    dimension: at each outer panel the 30 of them at its 15 t nodes go
+    through one vector-mode quadrature at a tenth of the outer
+    tolerance.  No closed form is used, so for n = 4 this is a check of
+    c_closed that shares no code with it.  For n = 3 the weight
     (1-t^2)^(-1/2) has an integrable endpoint singularity: the default
     scheme removes it with t = sin(theta); ``n3_scheme="endpoint_weight"``
     instead integrates the raw weight under algebraic_singularity

@@ -232,11 +232,8 @@ def _mc_constant(q, sq):
 
 
 def _error_proxy(q, sq, value):
-    """Error measure of ``value``, the answer to ``q`` under ``sq``: the
-    Monte-Carlo standard error, or the node-halving delta for the product
-    rule."""
-    if sq.method == "monte_carlo":
-        return _mc_constant(q, sq)[1]
+    """Error measure of ``value``, the product-rule answer to ``q`` under
+    ``sq``: its node-halving delta."""
     coarse = SphereQuadrature(method="product_gauss",
                               nodes_polar=max(2, sq.nodes_polar // 2),
                               nodes_azimuthal=max(1, sq.nodes_azimuthal // 2),
@@ -303,14 +300,24 @@ def best_direction(n, r, theta_grid, sq=SphereQuadrature()):
         raise ValueError("theta_grid must be a nonempty subset of [0, pi/2]")
     if 0.0 not in thetas:
         raise ValueError("theta_grid must contain 0")
-    profile = tuple((t, directional_constant(DirectionalQuery(n, r, t), sq))
-                    for t in thetas)
+    if sq.method == "monte_carlo":
+        # one pass per angle: its standard error is kept for the allowance
+        runs = {t: _mc_constant(DirectionalQuery(n, r, t), sq) for t in thetas}
+        values = {t: v for t, (v, _) in runs.items()}
+    else:
+        values = {t: directional_constant(DirectionalQuery(n, r, t), sq)
+                  for t in thetas}
+    profile = tuple((t, values[t]) for t in thetas)
     theta_star, _ = max(profile, key=lambda tv: tv[1])
-    values = dict(profile)
     value0 = values[0.0]
-    # the error proxies reuse the profile values: only the coarse pass runs
-    err = {t: _error_proxy(DirectionalQuery(n, r, t), sq, values[t])
-           for t in {0.0, theta_star}}
+
+    def error(t):
+        if sq.method == "monte_carlo":
+            return runs[t][1]
+        # reuses the profile value: only the coarse pass runs
+        return _error_proxy(DirectionalQuery(n, r, t), sq, values[t])
+
+    err = {t: error(t) for t in {0.0, theta_star}}
     allowance = err[0.0] + err[theta_star] + 1e-9
     violation = any(val > value0 + allowance for t, val in profile if t != 0.0)
     return BestDirection(theta_star=theta_star, profile=profile,

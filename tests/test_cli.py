@@ -9,6 +9,7 @@ import pytest
 
 from ballgrad.cli import _DEFAULT_TOLS, main
 from ballgrad.closedform4 import c_at_zero, frak_c, gradient_bound
+from test_kernelint import C_N3_REF
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +70,19 @@ def test_constant_prints_the_library_values(capsys):
     assert rep["frak_c"] == frak_c(r)
     assert rep["c_at_zero"] == c_at_zero(r)
     assert rep["gradient_bound"] == gradient_bound(r)
+
+
+@pytest.mark.parametrize("n,key,expected,tol", [
+    (5, "gradient_bound", 2.4494075287311972, 1e-9),  # spherical-rule value
+    (3, "c_at_zero", C_N3_REF[(0.5, 0.0)], 1e-10),
+])
+def test_constant_by_quadrature(capsys, n, key, expected, tol):
+    code, out, _ = run_cli(capsys, "constant", "--n", str(n), "--r", "0.5",
+                           "--json", "--no-timing")
+    assert code == 0
+    (rep,) = json.loads(out)["reports"]
+    assert rep["method"] == "quadrature_exploratory"
+    assert abs(rep[key] - expected) / expected < tol
 
 
 def test_constant_usage_errors(capsys):

@@ -334,6 +334,15 @@ def test_sharp_constant_report():
         sharp_constant_report(1.0)
 
 
+def test_sharp_constant_report_carries_the_library_values():
+    # frak_c/(1 + r) rounds differently from c_at_zero at about half of
+    # these radii; the report must carry the library's own numbers
+    for r in np.linspace(1e-3, 0.999, 999).tolist():
+        rep = sharp_constant_report(r)
+        assert rep.c_at_zero == c_at_zero(r), r
+        assert rep.gradient_bound == gradient_bound(r), r
+
+
 def test_endpoint_calls_are_fast():
     t0 = time.perf_counter()
     for _ in range(1000):

@@ -12,11 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from ballgrad import EvalPoint, QuadratureError, c_closed, psi_closed
+from ballgrad import (EvalPoint, QuadratureError, c_closed, closedform4,
+                      kernelint, psi_closed)
 from ballgrad.backend import get_backend
 from ballgrad.kernelint import (
     ParamSet,
     QuadratureSpec,
+    _psi_numeric_arr,
     adaptive_quad,
     c_numeric,
     psi_numeric,
@@ -112,6 +114,48 @@ def test_adaptive_quad_interval_validation():
         adaptive_quad(lambda x: 1.0, 0.0, 1.0)  # not array-valued
 
 
+# ---- vector mode ----------------------------------------------------------
+
+BATCH = [lambda x, k=k: x ** k for k in range(6)] + [
+    np.sin,
+    lambda x: 1.0 / (1.0 + 25.0 * x * x),  # Runge-type bump
+]
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0)])
+def test_adaptive_quad_vector_mode_matches_scalar_calls(a, b):
+    q = QuadratureSpec()
+    vals, errs = adaptive_quad(lambda x: np.stack([f(x) for f in BATCH]), a, b, q)
+    assert vals.shape == errs.shape == (len(BATCH),)
+    for i, f in enumerate(BATCH):
+        ref, _ = adaptive_quad(f, a, b, q)
+        assert abs(vals[i] - ref) <= max(q.abs_tol, q.rel_tol * abs(ref)), i
+        assert errs[i] <= max(q.abs_tol, q.rel_tol * abs(vals[i])), i
+
+
+def test_adaptive_quad_vector_mode_names_the_component_that_missed():
+    def f(x):
+        return np.stack([x * x, np.maximum(x, 1e-300) ** -0.99, np.sin(x)])
+
+    with pytest.raises(QuadratureError, match=r"components \[1\]") as exc:
+        adaptive_quad(f, 0.0, 1.0, QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
+    assert exc.value.value.shape == exc.value.err_estimate.shape == (3,)
+    assert exc.value.err_estimate[1] > 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("r", [0.1, 0.6, 0.95])
+def test_psi_numeric_arr_agrees_with_scalar_loop(n, r):
+    ps = ParamSet.from_radius(r, n)
+    zs = np.array([0.0, 1e-7, 0.7, 6.0])
+    q = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)  # psi_numeric's default
+    vals, errs = _psi_numeric_arr(np.concatenate([zs, -zs]), ps, q)
+    refs = [psi_numeric(EvalPoint(r, z), sign, ps)[0]
+            for sign in (1, -1) for z in zs.tolist()]
+    assert np.all(np.abs(vals - refs) <= 1e-12 * (1.0 + np.abs(refs)))
+    assert np.all(errs < 1e-12)
+
+
 # ---- profile integrand ----------------------------------------------------
 
 
@@ -157,6 +201,26 @@ def test_c_numeric_agrees_with_closed_form_n4(r, z):
     ref = c_closed(p)
     assert abs(val - ref) / abs(ref) < 1e-11
     assert err < 1e-9
+
+
+def test_c_numeric_n4_shares_no_code_with_the_closed_form(monkeypatch):
+    """The profile inside c_numeric is integrated, never taken from the
+    closed form that criterion 3 checks it against."""
+    points = [EvalPoint(0.5, 0.7), EvalPoint(0.3, 2.0), EvalPoint(0.9, 0.1)]
+    refs = [c_closed(p) for p in points]
+
+    def boom(*args):
+        raise AssertionError("closed-form profile called")
+
+    original = closedform4._psi_closed_arr
+    for mod in (closedform4, kernelint):
+        if vars(mod).get("_psi_closed_arr") is original:
+            monkeypatch.setattr(mod, "_psi_closed_arr", boom)
+    assert not [name for name, obj in vars(kernelint).items()
+                if getattr(obj, "__module__", None) == closedform4.__name__]
+    for p, ref in zip(points, refs):
+        val, _ = c_numeric(p, ParamSet.from_radius(p.r, 4))
+        assert abs(val - ref) / abs(ref) < 1e-11
 
 
 @pytest.mark.parametrize("key,expected", sorted(C_N3_REF.items()))

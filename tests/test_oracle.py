@@ -20,6 +20,7 @@ from ballgrad import (
     gradient_bound,
     halfspace_constant,
 )
+from ballgrad import poisson_oracle
 from ballgrad._kernels_py import grad_dot_batch
 from ballgrad.kernelint import ParamSet, QuadratureSpec, c_numeric
 from ballgrad.poisson_oracle import (
@@ -268,4 +269,25 @@ def test_best_direction_allowance_from_error_proxies(n, r, sq):
     assert best_direction(n, r, grid, sq).profile == bd.profile
     _, err0 = directional_constant_with_error(DirectionalQuery(n, r, 0.0), sq)
     _, errs = directional_constant_with_error(DirectionalQuery(n, r, bd.theta_star), sq)
+    assert bd.allowance == err0 + errs + 1e-9
+
+
+def test_best_direction_monte_carlo_samples_each_angle_once(monkeypatch):
+    """Each angle's standard error comes from its profile pass; the
+    allowance is the one directional_constant_with_error gives."""
+    sq = SphereQuadrature(method="monte_carlo", samples=20_000, seed=11)
+    grid = [0.0, math.pi / 4, math.pi / 2]
+    calls = []
+    original = poisson_oracle._mc_constant
+
+    def counted(q, sq):
+        calls.append(q.theta)
+        return original(q, sq)
+
+    monkeypatch.setattr(poisson_oracle, "_mc_constant", counted)
+    bd = best_direction(4, 0.5, grid, sq)
+    assert sorted(calls) == grid
+    monkeypatch.undo()
+    _, err0 = directional_constant_with_error(DirectionalQuery(4, 0.5, 0.0), sq)
+    _, errs = directional_constant_with_error(DirectionalQuery(4, 0.5, bd.theta_star), sq)
     assert bd.allowance == err0 + errs + 1e-9
