@@ -225,7 +225,7 @@ def _sup_reports(args):
             case_name=f"sup_n{n}_r{r:.2f}",
             sample_desc="512-point log grid + golden section",
             worst_violation=worst, worst_location=(float(r), res.z_star),
-            tolerance=tol, passed=ok, seed=args.seed, method="golden_section",
+            tolerance=tol, passed=ok, method="golden_section",
             note=note))
     return reports
 
@@ -295,12 +295,10 @@ def cmd_verify(args, argv):
         tols[_TOL_KEYS[args.suite]] = args.tol
 
     if args.suite == "identities":
-        reports = proofcheck.run_identity_suite(tolerance=tols["identities"],
-                                                seed=args.seed)
+        reports = proofcheck.run_identity_suite(tolerance=tols["identities"])
         tags = ["richardson_fd", "sobol"]
     elif args.suite == "lemmas":
-        reports = proofcheck.run_inequality_suite(
-            tolerance=tols["inequalities"], seed=args.seed)
+        reports = proofcheck.run_inequality_suite(tolerance=tols["inequalities"])
         tags = ["grid_sweep"]
     elif args.suite == "sup":
         reports = _sup_reports(args)

@@ -5,16 +5,17 @@ adaptive Gauss-Kronrod engine shared by every quadrature in the package,
 and the integral representation of the directional constant C(z, r)
 for n >= 3.
 
-The engine has a vector mode: an integrand that returns one row per
-component has all its integrals done on one shared panel tree.  The
-profile integrals Psi(+-z t) at the t nodes of one outer panel of
-C(z, r) go through it as one batch, in every dimension n = 4 included,
-so nothing here uses the n = 4 closed forms it is checked against.
+The engine has one panel loop: the integrals of an integrand that
+returns one row per component share one panel tree, and one integral
+is a one-row batch.  The profile integrals Psi(+-z t) at the t nodes
+of one outer panel of C(z, r) go through it as one batch, in every
+dimension n = 4 included, so nothing here uses the n = 4 closed forms
+it is checked against.  The outer t rule is chosen by the parity of n.
 """
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,13 +54,11 @@ _WG = np.array([
 
 # full 15-node layout: [-x0 .. -x6, 0, x6 .. x0]
 _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
-_WEIGHTS_K = np.concatenate([_WK[:-1], _WK[::-1]])
-_GAUSS_IDX = np.arange(1, 15, 2)  # odd positions carry the embedded G7 rule
-_WEIGHTS_G = np.concatenate([_WG[:-1], _WG[::-1]])
-# vector mode: both rules as the columns of one (15, 2) matrix
+# both rules as the columns of one (15, 2) matrix; odd positions carry
+# the embedded G7 rule
 _WEIGHTS_KG = np.zeros((15, 2))
-_WEIGHTS_KG[:, 0] = _WEIGHTS_K
-_WEIGHTS_KG[_GAUSS_IDX, 1] = _WEIGHTS_G
+_WEIGHTS_KG[:, 0] = np.concatenate([_WK[:-1], _WK[::-1]])
+_WEIGHTS_KG[1::2, 1] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
 @dataclass(frozen=True)
@@ -146,10 +145,6 @@ def _gk_panel(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = np.asarray(f(mid + half * _NODES), dtype=float)
-    if fx.shape == _NODES.shape:
-        k15 = half * float(_WEIGHTS_K @ fx)
-        g7 = half * float(_WEIGHTS_G @ fx[_GAUSS_IDX])
-        return k15, abs(k15 - g7)
     if fx.ndim != 2 or fx.shape[1:] != _NODES.shape:
         raise ValueError("integrand must map the 15 abscissae to an ndarray "
                          "of shape (15,) or (m, 15)")
@@ -165,19 +160,15 @@ def _fsum_rows(rows):
 def adaptive_quad(f, a, b, q=QuadratureSpec()):
     """Adaptive Gauss-Kronrod integration of a vectorized integrand.
 
-    ``f`` must accept an ndarray of abscissae and return an ndarray of
-    values.  Returns ``(value, err_estimate)``; raises QuadratureError
-    when max_subdivisions panels cannot reach the tolerance.  Splitting
-    follows a deterministic largest-error-first order (ties broken by
-    insertion counter), so results are reproducible bit-for-bit.
-
-    Vector mode: when ``f`` maps the 15 abscissae of a panel to an array
-    of shape (m, 15), the m integrals share one panel tree.  The value
-    and error estimate are then m-vectors, panels are split in order of
-    their largest component error, and the loop stops once every
-    component meets its own tolerance max(abs_tol, rel_tol*|I_i|).  A
-    QuadratureError carries the arrays and names the components that
-    missed.
+    ``f`` maps an ndarray of abscissae to values of shape (15,) for one
+    integral, or (m, 15) for m integrals on one shared panel tree; one
+    integral runs as a one-row batch and comes back as Python floats.
+    Returns ``(value, err_estimate)``.  Panels are split largest
+    component error first (ties by insertion counter), so results are
+    reproducible bit-for-bit, until every component meets its own
+    tolerance max(abs_tol, rel_tol*|I_i|).  After max_subdivisions
+    panels a QuadratureError carries the partial result and, in vector
+    mode, names the components that missed.
 
     ``endpoint_mode="algebraic_singularity"`` integrates through an
     algebraic singularity at the UPPER endpoint (an inverse-square-root
@@ -186,21 +177,25 @@ def adaptive_quad(f, a, b, q=QuadratureSpec()):
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
     if q.endpoint_mode == "algebraic_singularity":
-        c = math.sqrt(b - a)
-
         def g(u):
-            u = np.asarray(u)
             return f(b - u * u) * 2.0 * u
 
-        inner = QuadratureSpec(abs_tol=q.abs_tol, rel_tol=q.rel_tol,
-                               max_subdivisions=q.max_subdivisions,
-                               endpoint_mode="regular")
-        return adaptive_quad(g, 0.0, c, inner)
+        return adaptive_quad(g, 0.0, math.sqrt(b - a),
+                             replace(q, endpoint_mode="regular"))
 
-    val, err = _gk_panel(f, a, b)
-    vector = np.ndim(val) == 1
-    worst = np.ndarray.max if vector else float
-    heap = [(-worst(err), 0, a, b, val, err)]
+    one = False
+
+    def rows(x):
+        nonlocal one
+        fx = np.asarray(f(x), dtype=float)
+        one = fx.shape == x.shape
+        return fx[None] if one else fx
+
+    def result(value, err):
+        return (float(value[0]), float(err[0])) if one else (value, err)
+
+    val, err = _gk_panel(rows, a, b)
+    heap = [(-err.max(), 0, a, b, val, err)]
     counter = 1
     total, total_err = val, err
     while True:
@@ -208,28 +203,26 @@ def adaptive_quad(f, a, b, q=QuadratureSpec()):
         if not missed.any():
             break
         if len(heap) >= q.max_subdivisions:
-            where = f" in components {np.flatnonzero(missed).tolist()}" if vector else ""
+            where = "" if one else f" in components {np.flatnonzero(missed).tolist()}"
+            value, err_estimate = result(total, total_err)
             raise QuadratureError(
                 f"tolerance not reached after {len(heap)} panels{where} "
-                f"(err={worst(total_err):.3g}); tolerance too tight or "
+                f"(err={total_err.max():.3g}); tolerance too tight or "
                 f"integrand pathological",
-                value=total, err_estimate=total_err)
+                value=value, err_estimate=err_estimate)
         neg_e, _, pa, pb, pv, pe = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
-        lv, le = _gk_panel(f, pa, pm)
-        rv, re = _gk_panel(f, pm, pb)
-        heapq.heappush(heap, (-worst(le), counter, pa, pm, lv, le))
-        heapq.heappush(heap, (-worst(re), counter + 1, pm, pb, rv, re))
+        lv, le = _gk_panel(rows, pa, pm)
+        rv, re = _gk_panel(rows, pm, pb)
+        heapq.heappush(heap, (-le.max(), counter, pa, pm, lv, le))
+        heapq.heappush(heap, (-re.max(), counter + 1, pm, pb, rv, re))
         counter += 2
         total = total - pv + lv + rv
         total_err = total_err - pe + le + re
     # deterministic, accurate final reduction over panels ordered by position
     panels = sorted(heap, key=lambda t: t[2])
-    if vector:
-        return _fsum_rows([p[4] for p in panels]), _fsum_rows([p[5] for p in panels])
-    value = math.fsum(p[4] for p in panels)
-    err = math.fsum(p[5] for p in panels)
-    return value, err
+    return result(_fsum_rows([p[4] for p in panels]),
+                  _fsum_rows([p[5] for p in panels]))
 
 
 def _psi_numeric_arr(zs, ps, q):
@@ -281,37 +274,36 @@ def c_numeric(p, ps, q=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
     dimension: at each outer panel the 30 of them at its 15 t nodes go
     through one vector-mode quadrature at a tenth of the outer
     tolerance.  No closed form is used, so for n = 4 this is a check of
-    c_closed that shares no code with it.  For n = 3 the weight
-    (1-t^2)^(-1/2) has an integrable endpoint singularity: the default
-    scheme removes it with t = sin(theta); ``n3_scheme="endpoint_weight"``
-    instead integrates the raw weight under algebraic_singularity
-    handling (the two must agree, which the tests exercise).
+    c_closed that shares no code with it.
+
+    The outer rule follows the parity of n.  For even n the weight
+    (1-t^2)^((n-4)/2) is a polynomial, integrated in t.  For odd n its
+    square-root singularity at t = 1 is removed by t = sin(theta), which
+    leaves the smooth weight cos(theta)^(n-3).  For n = 3,
+    ``n3_scheme="endpoint_weight"`` instead integrates the raw weight
+    under algebraic_singularity handling, as a cross-check.
 
     Returns (value, err_estimate).
     """
+    if n3_scheme not in ("sin_substitution", "endpoint_weight"):
+        raise ValueError(f"unknown n3_scheme {n3_scheme!r}")
     n = ps.n
     pref = 4.0 * sphere_area(n - 2) / sphere_area(n) \
         * 2.0 ** (n - 1) / (1.0 + ps.r) ** (n - 1)
     norm = math.sqrt(1.0 + p.z * p.z)
 
-    if n == 3 and n3_scheme == "sin_substitution":
-        def f(theta):
-            return _psi_pair_at(ps, p, np.sin(np.asarray(theta)), q)
-        val, err = adaptive_quad(f, 0.0, math.pi / 2.0, q)
-    elif n == 3:
+    if n == 3 and n3_scheme == "endpoint_weight":
         def f(t):
-            t = np.asarray(t)
             return _psi_pair_at(ps, p, t, q) / np.sqrt(1.0 - t * t)
-        sq = QuadratureSpec(abs_tol=q.abs_tol, rel_tol=q.rel_tol,
-                            max_subdivisions=q.max_subdivisions,
-                            endpoint_mode="algebraic_singularity")
+        sq = replace(q, endpoint_mode="algebraic_singularity")
         val, err = adaptive_quad(f, 0.0, 1.0, sq)
+    elif n % 2:
+        def f(theta):
+            return _psi_pair_at(ps, p, np.sin(theta), q) * np.cos(theta) ** (n - 3)
+        val, err = adaptive_quad(f, 0.0, math.pi / 2.0, q)
     else:
-        e = (n - 4) / 2.0
-
         def f(t):
-            t = np.asarray(t)
-            return _psi_pair_at(ps, p, t, q) * (1.0 - t * t) ** e
+            return _psi_pair_at(ps, p, t, q) * (1.0 - t * t) ** ((n - 4) / 2.0)
         val, err = adaptive_quad(f, 0.0, 1.0, q)
 
     return pref * val / norm, pref * err / norm

@@ -31,6 +31,7 @@ from . import backend
 from .kernelint import sphere_area
 
 _BOUNDARY_TOL = 1e-12
+_KERNEL_MASS_NODES = 200
 
 
 @dataclass(frozen=True)
@@ -336,12 +337,12 @@ def extremal_check(n, r, sq=SphereQuadrature()):
     return _product_constant(q, sq, signed=True)
 
 
-def kernel_mass(r, n, nodes=200):
+def kernel_mass(r, n):
     """Quadrature of the Poisson kernel over the sphere (normalized
     measure); equals 1 for every interior radius -- a self-test."""
     if not (0.0 <= r < 1.0):
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    xg, wg = _gauss_legendre(nodes)
+    xg, wg = _gauss_legendre(_KERNEL_MASS_NODES)
     half = math.pi / 2.0
     phi = half + half * xg
     P = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(phi) + r * r) ** (n / 2.0)

@@ -99,15 +99,15 @@ class VerificationReport:
     worst_location: tuple
     tolerance: float
     passed: bool
-    seed: int
     method: str
+    seed: Optional[int] = None  # set only where a seed chooses samples
     note: str = ""
 
 
-def _richardson(f, args, i, scale):
+def _richardson(f, args, i):
     # central difference at steps h and h/2, Richardson-combined: O(h^4)
     x = args[i]
-    h = scale * (1.0 + np.abs(x))
+    h = _CBRT_EPS * (1.0 + np.abs(x))
 
     def central(hh):
         up = list(args)
@@ -123,12 +123,12 @@ def _deviation(a, b):
     return np.abs(a - b) / (1.0 + np.maximum(np.abs(a), np.abs(b)))
 
 
-def _lhs_value(case, args, scale):
+def _lhs_value(case, args):
     if case.kind == "derivative_of_equals":
         if isinstance(case.lhs, tuple):
-            return sum(coeff(*args) * _richardson(fn, args, case.wrt, scale)
+            return sum(coeff(*args) * _richardson(fn, args, case.wrt)
                        for coeff, fn in case.lhs)
-        return _richardson(case.lhs, args, case.wrt, scale)
+        return _richardson(case.lhs, args, case.wrt)
     return case.lhs(*args)
 
 
@@ -146,15 +146,13 @@ def _first_max(case, values, coords):
     return float(values.flat[i]), tuple(float(c.flat[i]) for c in coords)
 
 
-def case_deviation(case, point, step_scale=None):
+def case_deviation(case, point):
     """Deviation of a single identity case at one explicit point."""
-    scale = _CBRT_EPS if step_scale is None else step_scale
     args = tuple(float(x) for x in point)
-    return float(_deviation(_lhs_value(case, args, scale), case.rhs(*args)))
+    return float(_deviation(_lhs_value(case, args), case.rhs(*args)))
 
 
-def check_derivative_identity(case, n_points=1024, tolerance=1e-7, seed=0,
-                              step_scale=None):
+def check_derivative_identity(case, n_points=1024, tolerance=1e-7):
     """Verify a derivative (or pointwise) identity over a Sobol sample.
 
     The sample is unscrambled, hence fully deterministic; the deviation
@@ -165,15 +163,14 @@ def check_derivative_identity(case, n_points=1024, tolerance=1e-7, seed=0,
     """
     if case.kind == "pointwise_leq":
         raise ValueError(f"{case.name} is an inequality; use check_inequality")
-    scale = _CBRT_EPS if step_scale is None else step_scale
     los = [lo for _, lo, _ in case.domain]
     his = [hi for _, _, hi in case.domain]
-    sampler = qmc.Sobol(d=len(case.domain), scramble=False, seed=seed)
+    sampler = qmc.Sobol(d=len(case.domain), scramble=False)
     pts = qmc.scale(sampler.random(n_points), los, his)
     args = tuple(np.ascontiguousarray(col) for col in pts.T)
 
     try:
-        dev = _deviation(_lhs_value(case, args, scale), case.rhs(*args))
+        dev = _deviation(_lhs_value(case, args), case.rhs(*args))
     except Exception as exc:
         raise EvaluationError(f"{case.name}: evaluation failed: {exc}") from exc
     worst, where = _first_max(case, dev, args)
@@ -185,7 +182,7 @@ def check_derivative_identity(case, n_points=1024, tolerance=1e-7, seed=0,
                               sample_desc=f"sobol[{n_points}] over {box}",
                               worst_violation=worst, worst_location=where,
                               tolerance=tolerance, passed=worst <= tolerance,
-                              seed=seed, method=method, note=case.note)
+                              method=method, note=case.note)
 
 
 def _axis_grid(var, lo, hi, m):
@@ -197,7 +194,7 @@ def _axis_grid(var, lo, hi, m):
     return np.linspace(lo, hi, m)
 
 
-def check_inequality(case, tolerance=1e-12, seed=0):
+def check_inequality(case, tolerance=1e-12):
     """Sweep a pointwise inequality lhs <= rhs over dense grids.
 
     Reports the worst signed violation (positive means violated), with a
@@ -236,7 +233,7 @@ def check_inequality(case, tolerance=1e-12, seed=0):
     return VerificationReport(case_name=case.name, sample_desc=desc,
                               worst_violation=worst, worst_location=where,
                               tolerance=tolerance, passed=worst <= tolerance,
-                              seed=seed, method=case.checker, note=case.note)
+                              method=case.checker, note=case.note)
 
 
 # ---------------------------------------------------------------------------
@@ -554,18 +551,16 @@ def inequality_cases():
     ]
 
 
-def run_identity_suite(tolerance=1e-7, n_points=1024, seed=0):
+def run_identity_suite(tolerance=1e-7, n_points=1024):
     """All identity cases, reports sorted by case name."""
-    reports = [check_derivative_identity(c, n_points=n_points,
-                                         tolerance=tolerance, seed=seed)
+    reports = [check_derivative_identity(c, n_points=n_points, tolerance=tolerance)
                for c in identity_cases()]
     return sorted(reports, key=lambda rep: rep.case_name)
 
 
-def run_inequality_suite(tolerance=1e-12, seed=0):
+def run_inequality_suite(tolerance=1e-12):
     """All inequality cases, reports sorted by case name."""
-    reports = [check_inequality(c, tolerance=tolerance, seed=seed)
-               for c in inequality_cases()]
+    reports = [check_inequality(c, tolerance=tolerance) for c in inequality_cases()]
     return sorted(reports, key=lambda rep: rep.case_name)
 
 
@@ -574,6 +569,8 @@ def run_inequality_suite(tolerance=1e-12, seed=0):
 # ---------------------------------------------------------------------------
 
 SupResult = namedtuple("SupResult", ["z_star", "c_star"])
+_SUP_Z_MAX = 6.0  # initial right edge of the search window
+_SUP_QUADRATURE = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)  # n != 4
 
 
 def _golden_max(f, a, b, rel_tol=1e-12, max_iter=200):
@@ -596,14 +593,14 @@ def _golden_max(f, a, b, rel_tol=1e-12, max_iter=200):
     return x, f(x)
 
 
-def locate_sup(r, n=4, z_max=6.0, q=None, grid_points=512):
+def locate_sup(r, n=4, grid_points=512):
     """Maximize z -> C(z, r): log-grid seed + golden-section refinement.
 
     For n = 4 the profile comes from the closed form, whose seed grid is
     one array call; otherwise from the quadrature representation, one
     call per grid point.  The profile does not decay -- it levels
     off at the tangential-direction value as z grows -- so the search
-    window [0, z_max] is doubled only while the grid argmax keeps landing
+    window [0, 6] is doubled only while the grid argmax keeps landing
     on the right edge, meaning the maximum might still lie beyond it.
     """
     if n == 4:
@@ -614,14 +611,14 @@ def locate_sup(r, n=4, z_max=6.0, q=None, grid_points=512):
             return _c_closed_arr(r, zs)
     else:
         ps = ParamSet.from_radius(r, n)
-        qq = q if q is not None else QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
 
         def point(z):
-            return c_numeric(EvalPoint(r, z), ps, qq)[0]
+            return c_numeric(EvalPoint(r, z), ps, _SUP_QUADRATURE)[0]
 
         def profile(zs):
             return np.array([point(z) for z in zs])
 
+    z_max = _SUP_Z_MAX
     for _ in range(20):
         zs = np.concatenate([[0.0], np.geomspace(1e-8, z_max, grid_points - 1)])
         vals = profile(zs)

@@ -25,6 +25,8 @@ from ballgrad.kernelint import (
     q_partial_fractions,
     sphere_area,
 )
+from ballgrad.poisson_oracle import (DirectionalQuery, SphereQuadrature,
+                                     directional_constant)
 
 # mpmath references for the three-dimensional ball
 PSI_N3_REF = {
@@ -143,6 +145,21 @@ def test_adaptive_quad_vector_mode_names_the_component_that_missed():
     assert exc.value.err_estimate[1] > 1e-13
 
 
+def test_adaptive_quad_one_integral_is_a_one_row_batch():
+    f = lambda x: np.exp(-x) * np.sin(50.0 * x)
+    q = QuadratureSpec()
+    val, err = adaptive_quad(f, 0.0, 10.0, q)
+    vals, errs = adaptive_quad(lambda x: f(x)[None], 0.0, 10.0, q)
+    assert type(val) is float and type(err) is float
+    assert (val, err) == (vals[0], errs[0])  # bit for bit
+
+    g = lambda x: np.maximum(x, 1e-300) ** -0.99
+    with pytest.raises(QuadratureError, match="panels \\(") as exc:
+        adaptive_quad(g, 0.0, 1.0, QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
+    assert type(exc.value.value) is float
+    assert type(exc.value.err_estimate) is float
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("r", [0.1, 0.6, 0.95])
 def test_psi_numeric_arr_agrees_with_scalar_loop(n, r):
@@ -239,9 +256,44 @@ def test_c_numeric_n3_schemes_agree():
     assert abs(a - b) / abs(a) < 1e-9
 
 
+def test_c_numeric_rejects_an_unknown_n3_scheme():
+    with pytest.raises(ValueError, match="n3_scheme"):
+        c_numeric(EvalPoint(0.5, 0.7), ParamSet.from_radius(0.5, 3), n3_scheme="raw")
+
+
 def test_c_numeric_five_dimensional_ball():
     """n = 5 has no closed form here; check the z = 0 normalization instead
     against the independent direction-sweep oracle value."""
     val, err = c_numeric(EvalPoint(0.5, 0.0), ParamSet.from_radius(0.5, 5))
     oracle = 2.4494075287311971817956267226803  # spherical-rule evaluation
     assert abs(val / (1.0 - 0.5) - oracle) / oracle < 1e-9
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.9])
+def test_c_numeric_odd_dimension_matches_the_oracle_at_the_axis(n, r):
+    """For odd n the outer weight's sqrt(1 - t) endpoint singularity is
+    substituted away, so C(0, r) meets the oracle's (1 - r) C(r e_n, e_n)
+    to near roundoff."""
+    val, _ = c_numeric(EvalPoint(r, 0.0), ParamSet.from_radius(r, n))
+    sq = SphereQuadrature(nodes_polar=200, nodes_azimuthal=128)
+    ref = (1.0 - r) * directional_constant(DirectionalQuery(n, r, 0.0), sq)
+    assert abs(val - ref) / ref < 5e-14
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_c_numeric_outer_panel_budget(monkeypatch, n):
+    """Every outer panel makes one batched profile quadrature; a smooth
+    outer integrand needs few of them in every dimension."""
+    calls = []
+    original = kernelint._psi_numeric_arr
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(kernelint, "_psi_numeric_arr", counted)
+    for r, z in [(0.05, 0.0), (0.5, 0.7), (0.9, 2.0), (0.3, 2.5), (0.95, 6.0)]:
+        calls.clear()
+        c_numeric(EvalPoint(r, z), ParamSet.from_radius(r, n))
+        assert len(calls) <= 11, (r, z, len(calls))

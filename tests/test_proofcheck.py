@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ballgrad import c_at_zero
+from ballgrad import EvalPoint, ParamSet, c_at_zero, c_numeric
 from ballgrad.cli import main
 from ballgrad.proofcheck import (
     DERIVATIVE_SUITE,
@@ -57,8 +57,8 @@ def test_inequality_suite_all_pass():
 
 
 def test_identity_suite_seed_stable():
-    a = run_identity_suite(seed=0)
-    b = run_identity_suite(seed=0)
+    a = run_identity_suite()
+    b = run_identity_suite()
     assert [(r.case_name, r.worst_violation) for r in a] \
         == [(r.case_name, r.worst_violation) for r in b]
 
@@ -130,6 +130,13 @@ def test_locate_sup_other_dimension():
     res = locate_sup(0.5, n=3, grid_points=48)
     assert res.z_star <= 1e-4
     assert res.c_star == pytest.approx(1.0068508881177473, rel=1e-8)
+
+
+def test_locate_sup_five_dimensional_ball():
+    res = locate_sup(0.5, n=5)
+    c0, _ = c_numeric(EvalPoint(0.5, 0.0), ParamSet.from_radius(0.5, 5))
+    assert res.z_star <= 1e-4
+    assert res.c_star == pytest.approx(c0, rel=1e-8)
 
 
 def test_conjecture_report_flat_disk():
