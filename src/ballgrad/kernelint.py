@@ -63,32 +63,33 @@ _WEIGHTS_KG[1::2, 1] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 @dataclass(frozen=True)
 class ParamSet:
-    """Derived parameters of the profile integral for dimension n."""
+    """Radius and dimension of the profile integral, with its derived
+    parameters k, alpha and beta."""
 
     r: float
     n: int
-    k: float
-    alpha: float
-    beta: float
 
     @classmethod
     def from_radius(cls, r, n=4):
-        if not (isinstance(n, (int, np.integer)) and n >= 3):
-            raise ValueError(f"dimension must be an integer >= 3, got {n}")
-        if not (0.0 < r < 1.0):
-            raise ValueError(f"r must lie in (0, 1), got {r}")
-        k = (1.0 - r) / (1.0 + r)
-        alpha = r * (n - 2) / n
-        beta = (n - (n - 2) * r) / 2.0
-        return cls(r=float(r), n=int(n), k=k, alpha=alpha, beta=beta)
+        return cls(r=float(r), n=n)
 
     def __post_init__(self):
-        if not (0.0 < self.k < 1.0):
-            raise ValueError("k out of range (0, 1)")
-        if not (0.0 <= self.alpha < 1.0):
-            raise ValueError("alpha out of range [0, 1)")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 3):
+            raise ValueError(f"dimension must be an integer >= 3, got {self.n}")
+        if not (0.0 < self.r < 1.0):
+            raise ValueError(f"r must lie in (0, 1), got {self.r}")
+
+    @property
+    def k(self):
+        return (1.0 - self.r) / (1.0 + self.r)
+
+    @property
+    def alpha(self):
+        return self.r * (self.n - 2) / self.n
+
+    @property
+    def beta(self):
+        return (self.n - (self.n - 2) * self.r) / 2.0
 
 
 @dataclass(frozen=True)
@@ -243,6 +244,12 @@ def _psi_numeric_arr(zs, ps, q):
     return adaptive_quad(f, 0.0, 1.0, q)
 
 
+def _check_radius(p, ps):
+    if p.r != ps.r:
+        raise ValueError(f"EvalPoint radius {p.r} differs from ParamSet "
+                         f"radius {ps.r}")
+
+
 def psi_numeric(p, sign, ps, q=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)):
     """Profile integral by adaptive quadrature; oracle pair of psi_closed.
 
@@ -251,6 +258,7 @@ def psi_numeric(p, sign, ps, q=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)):
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    _check_radius(p, ps)
     val, err = _psi_numeric_arr([sign * p.z], ps, q)
     return float(val[0]), float(err[0])
 
@@ -287,6 +295,7 @@ def c_numeric(p, ps, q=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
     """
     if n3_scheme not in ("sin_substitution", "endpoint_weight"):
         raise ValueError(f"unknown n3_scheme {n3_scheme!r}")
+    _check_radius(p, ps)
     n = ps.n
     pref = 4.0 * sphere_area(n - 2) / sphere_area(n) \
         * 2.0 ** (n - 1) / (1.0 + ps.r) ** (n - 1)

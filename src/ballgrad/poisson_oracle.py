@@ -18,6 +18,10 @@ the polar interval there into three pieces (padding with zero-width
 ones), which restores high-order convergence.  A query makes one
 kernel call per piece, over every (azimuthal node, polar node), with
 the Gauss rules built once per node count and cached.
+
+Every product-rule query goes through that one polar integrator; for
+theta = pi/2 the integrand is |u| times a function of the polar angle,
+so the azimuthal rule is one node, u = 1, with the exact |u| moment.
 """
 
 import functools
@@ -146,7 +150,7 @@ def _kink_points(n, r, ct, st, u):
     return np.sort(np.where(inside, phi, math.pi), axis=-1)
 
 
-def _polar_integrals(n, r, ct, st, u, nodes, signed=False):
+def _polar_integrals(n, r, ct, st, u, nodes):
     """integral over [0, pi] of |F(phi, u)| sin^(n-2)(phi) dphi, for each u,
     as an array of shape (len(u), 3): one column per piece.
 
@@ -158,10 +162,6 @@ def _polar_integrals(n, r, ct, st, u, nodes, signed=False):
     query gave the heap top back and page-faulted it in again (about
     60 % slower) depended on the process's heap layout.  A piece at a
     time peaks at about 0.5 MB.
-
-    With ``signed=True`` the integrand is F times the sign of F read off
-    the same nodes (the extremal boundary-data construction); the two
-    agree identically at node level.
     """
     u = np.asarray(u, dtype=float)
     xg, wg = _gauss_legendre(nodes)
@@ -176,43 +176,28 @@ def _polar_integrals(n, r, ct, st, u, nodes, signed=False):
         phi = (0.5 * (a + b))[:, None] + half[:, None] * xg
         sphi = np.sin(phi)
         F = kern.grad_dot_batch(np.cos(phi), sphi, u[:, None], r, n, ct, st)
-        vals = F * np.sign(F) if signed else np.abs(F)
-        pieces[:, j] = half * np.sum(vals * sphi ** (n - 2) * wg, axis=-1)
+        pieces[:, j] = half * np.sum(np.abs(F) * sphi ** (n - 2) * wg, axis=-1)
     return pieces
 
 
-def _tangential_constant(n, r, nodes):
-    """Purely tangential direction: the sign factor reduces to the first
-    boundary coordinate, so the azimuthal |u| moment integrates exactly
-    (2/(n-2)) and one smooth polar integral remains.
-
-    The generic product rule must not be used here: its azimuthal
-    integrand |u| * smooth has a kink at u = 0 that the weight-matched
-    Gauss rule cannot resolve.
-    """
-    xg, wg = _gauss_legendre(nodes)
-    half = math.pi / 2.0
-    phi = half + half * xg
-    rho2 = 1.0 - 2.0 * r * np.cos(phi) + r * r
-    integrand = np.sin(phi) ** (n - 1) / rho2 ** ((n + 2) / 2.0)
-    polar = half * float(wg @ integrand)
-    return sphere_area(n - 2) / sphere_area(n) \
-        * n * (1.0 - r * r) * 2.0 / (n - 2) * polar
-
-
-def _product_constant(q, sq, signed=False):
+def _product_constant(q, sq):
     n, r = q.n, q.r
     ct, st = math.cos(q.theta), math.sin(q.theta)
-    if n >= 3 and abs(ct) < 1e-12:
-        return _tangential_constant(n, r, sq.nodes_polar)
     if n == 2:
         # the residual sphere S^0 is the pair u = +/-1
         uj, wj = np.array([1.0, -1.0]), np.ones(2)
         scale = 1.0 / (2.0 * math.pi)
     else:
-        uj, wj = _azimuthal_rule(n, sq.nodes_azimuthal)
         scale = sphere_area(n - 2) / sphere_area(n)
-    pieces = _polar_integrals(n, r, ct, st, uj, sq.nodes_polar, signed)
+        if abs(ct) < 1e-12:
+            # purely tangential: |F| is |u| times a function of phi; one
+            # node u = 1 with the exact moment 2/(n-2) of |u| replaces a
+            # Gauss rule that cannot resolve the kink of |u| at u = 0
+            ct, st = 0.0, 1.0
+            uj, wj = np.ones(1), np.array([2.0 / (n - 2)])
+        else:
+            uj, wj = _azimuthal_rule(n, sq.nodes_azimuthal)
+    pieces = _polar_integrals(n, r, ct, st, uj, sq.nodes_polar)
     # correctly rounded total: last-bit changes of the query (theta from
     # directional_constant_vector) then leave the answer bit-equal more often
     return scale * math.fsum((wj[:, None] * pieces).ravel())
@@ -328,13 +313,13 @@ def best_direction(n, r, theta_grid, sq=SphereQuadrature()):
 def extremal_check(n, r, sq=SphereQuadrature()):
     """Directional derivative attained by the extremal boundary data.
 
-    Builds sign<grad P, e_n> as boundary data and integrates its product
-    with <grad P, e_n> on the same quadrature nodes; by |g| = g sign(g)
-    this must reproduce directional_constant at theta = 0 exactly at
-    node level.
+    The boundary data sign<grad P, e_n> attains the normal-direction
+    constant: its integral against <grad P, e_n> is the integral of
+    |<grad P, e_n>|.  On the quadrature nodes F sign(F) equals |F| bit
+    for bit, so this is the theta = 0 product-rule query, whatever
+    ``sq.method`` says.
     """
-    q = DirectionalQuery(n=n, r=r, theta=0.0)
-    return _product_constant(q, sq, signed=True)
+    return _product_constant(DirectionalQuery(n=n, r=r, theta=0.0), sq)
 
 
 def kernel_mass(r, n):
@@ -346,10 +331,5 @@ def kernel_mass(r, n):
     half = math.pi / 2.0
     phi = half + half * xg
     P = (1.0 - r * r) / (1.0 - 2.0 * r * np.cos(phi) + r * r) ** (n / 2.0)
-    if n == 2:
-        # the general line below with sphere_area(1) = 2 and sin^0 = 1,
-        # but it rounds in another order: about 1 radius in 6 would move
-        # by 1 ulp
-        return half * float(wg @ P) / math.pi
     w = np.sin(phi) ** (n - 2)
     return sphere_area(n - 1) / sphere_area(n) * half * float(wg @ (P * w))

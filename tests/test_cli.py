@@ -209,6 +209,16 @@ def test_verify_conjecture_exploratory_dimension_exits_zero(capsys):
     assert code == 0
 
 
+def test_verify_conjecture_failed_disk_check_exits_one(capsys):
+    """n = 2 is judged by flatness; 20k Monte Carlo samples leave the
+    profile too noisy to pass it, and the exit code says so."""
+    code, out, _ = run_cli(capsys, "verify", "conjecture", "--n", "2",
+                           "--method", "monte-carlo", "--samples", "20000",
+                           "--r-steps", "2", "--theta-steps", "3")
+    assert code == 1
+    assert out.startswith("FAIL conjecture_n2")
+
+
 def test_verify_unknown_suite(capsys):
     assert run_cli(capsys, "verify", "nope")[0] == 2
 

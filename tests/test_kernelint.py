@@ -7,6 +7,7 @@ reference numbers were computed with 30-digit mpmath quadrature of the
 same integral representation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +60,25 @@ def test_param_set_from_radius():
         ParamSet.from_radius(0.5, 2)
     with pytest.raises(ValueError):
         ParamSet.from_radius(1.0, 4)
+
+
+def test_param_set_fields_are_radius_and_dimension():
+    assert [f.name for f in dataclasses.fields(ParamSet)] == ["r", "n"]
+    assert ParamSet(0.5, 4) == ParamSet.from_radius(0.5)
+    for r, n in [(0.5, 2), (0.0, 4), (1.0, 4), (0.5, 4.0)]:
+        with pytest.raises(ValueError):
+            ParamSet(r, n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, ps: c_numeric(p, ps),
+    lambda p, ps: psi_numeric(p, 1, ps),
+], ids=["c_numeric", "psi_numeric"])
+def test_quadrature_rejects_a_radius_mismatch(call):
+    """The radius comes from the ParamSet; one that differs from the
+    EvalPoint's is an error, not a silent answer at the other radius."""
+    with pytest.raises(ValueError, match="radius 0.5 .* radius 0.3"):
+        call(EvalPoint(0.5, 0.7), ParamSet.from_radius(0.3, 4))
 
 
 def test_quadrature_spec_validation():

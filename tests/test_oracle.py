@@ -203,6 +203,24 @@ def test_poisson_gradient_matches_finite_differences():
         assert abs(g[i] - fd) < 1e-8 * (1.0 + abs(g[i]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_grad_dot_kernel_matches_the_cartesian_gradient(n):
+    """The kernel every oracle query integrates is <poisson_gradient, v>
+    at x = r e_n, v = cos(theta) e_n + sin(theta) e_1, so the
+    finite-difference checks of poisson_gradient cover it too."""
+    rng = np.random.default_rng(n)
+    e1, en = np.eye(n)[0], np.eye(n)[n - 1]
+    for _ in range(50):
+        zeta = rng.standard_normal(n)
+        zeta /= np.linalg.norm(zeta)
+        r = rng.uniform(0.0, 0.95)
+        theta = rng.uniform(0.0, math.pi / 2)
+        ct, st = math.cos(theta), math.sin(theta)
+        got = grad_dot_batch(zeta[n - 1], zeta[0], 1.0, r, n, ct, st)
+        ref = poisson_gradient(r * en, zeta, n) @ (ct * en + st * e1)
+        assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref)), (zeta, r, theta)
+
+
 def test_best_direction_normal_wins():
     grid = np.linspace(0.0, math.pi / 2, 9)
     bd = best_direction(4, 0.6, grid, SQ)
