@@ -26,9 +26,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .closedform4 import (EvalPoint, _c_at_zero_arr, _c_closed_arr,
-                          _frak_c_arr, _gradient_bound_arr, c_at_zero,
-                          disk_constant, frak_c, gradient_bound)
+from .closedform4 import (SERIES_R_THRESHOLD, EvalPoint, _c_at_zero_arr,
+                          _c_closed_arr, _frak_c_arr, _gradient_bound_arr,
+                          c_at_zero, disk_constant, frak_c, gradient_bound)
 from .exceptions import EvaluationError, QuadratureError
 from .kernelint import ParamSet, QuadratureSpec, c_numeric
 from .poisson_oracle import (DirectionalQuery, SphereQuadrature,
@@ -107,6 +107,11 @@ def _emit_csv(header, rows, manifest, out):
         sys.stderr.write(mtext)
 
 
+def _check_n(n, least):
+    if n < least:
+        raise UsageError(f"--n must be >= {least}, got {n}")
+
+
 def _sphere_quadrature(args):
     return SphereQuadrature(method=args.method.replace("-", "_"),
                             samples=args.samples, seed=args.seed)
@@ -121,12 +126,13 @@ def cmd_constant(args, argv):
     r, n = args.r, args.n
     if not (0.0 <= r <= 1.0):
         raise UsageError(f"--r must lie in [0, 1], got {r}")
+    _check_n(n, 2)
 
     if n == 4:
         fc = frak_c(r)
         c0 = float(_c_at_zero_arr(r))
         gb = gradient_bound(r) if r < 1.0 else None
-        tag = "closed_form"
+        tag = "series_branch" if r < SERIES_R_THRESHOLD else "closed_form"
     elif n == 2:
         gb0 = disk_constant(r) if r < 1.0 else None
         fc = 4.0 / math.pi
@@ -292,6 +298,10 @@ def cmd_verify(args, argv):
             raise UsageError(f"--tol applies to the {', '.join(_TOL_KEYS)} "
                              f"suites, not to {args.suite}")
         tols[_TOL_KEYS[args.suite]] = args.tol
+    if args.suite in ("identities", "lemmas") and args.n != 4:
+        raise UsageError(f"verify {args.suite} checks n = 4 only, "
+                         f"got --n {args.n}")
+    _check_n(args.n, 3 if args.suite == "sup" else 2)
 
     if args.suite == "identities":
         reports = proofcheck.run_identity_suite(tolerance=tols["identities"])
@@ -336,6 +346,7 @@ def cmd_oracle(args, argv):
         raise UsageError(f"--r must lie in [0, 1), got {args.r}")
     if not (0.0 <= args.theta <= math.pi / 2.0):
         raise UsageError(f"--theta must lie in [0, pi/2], got {args.theta}")
+    _check_n(args.n, 2)
     sq = _sphere_quadrature(args)
     q = DirectionalQuery(n=args.n, r=args.r, theta=args.theta)
     value, err = directional_constant_with_error(q, sq)

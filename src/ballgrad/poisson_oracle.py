@@ -13,11 +13,12 @@ product quadrature (or plain Monte Carlo).
 
 The integrand has a kink where <grad P, v> changes sign.  Along each
 azimuthal node the sign factor is a constant plus one sinusoid in the
-polar angle, so its zeros have a closed form; the product rule splits
-the polar interval there into three pieces (padding with zero-width
-ones), which restores high-order convergence.  A query makes one
-kernel call per piece, over every (azimuthal node, polar node), with
-the Gauss rules built once per node count and cached.
+polar angle, positive at the pole e_n and negative at -e_n, so it
+changes sign exactly once, at a closed-form angle; the product rule
+splits the polar interval there into two pieces, which restores
+high-order convergence.  A query makes one kernel call per piece, over
+every (azimuthal node, polar node), with the Gauss rules built once per
+node count and cached.
 
 Every product-rule query goes through that one polar integrator; for
 theta = pi/2 the integrand is |u| times a function of the polar angle,
@@ -126,52 +127,45 @@ def _azimuthal_rule(n, m):
 
 
 def _kink_points(n, r, ct, st, u):
-    """Zeros in (0, pi) of the sign factor of <grad P, v>, for each u.
+    """The zero in (0, pi] of the sign factor of <grad P, v>, for each u.
 
     rho^(n+2) * <grad P, v> = c0 + a1 cos(phi) + b1 sin(phi)
                             = c0 + R cos(phi - alpha),
-    with R = hypot(a1, b1) and alpha = atan2(b1, a1), so the zeros are
-    alpha +/- acos(-c0/R) when |c0| < R (a tangency, |c0| = R, is no
-    sign change).  For theta in [0, pi/2], c0 <= 0 <= a1, so alpha lies
-    in [-pi/2, pi/2] and acos(-c0/R) in [0, pi/2]: both candidates lie in
-    [-pi, pi], and no zero wraps around.  Returns an array of shape
-    (len(u), 2), each row sorted, with pi standing in for a missing zero.
+    with R = hypot(a1, b1) and alpha = atan2(b1, a1).  For theta < pi/2
+    it is ct (1-r)^2 (n(1+r) - 2r) > 0 at phi = 0 and
+    -ct (1+r)^2 (2r + n(1-r)) < 0 at phi = pi, so each half-meridian
+    crosses the kink set once, at alpha + acos(-c0/R): c0 <= 0 <= a1, and
+    the sign at phi = 0 puts the other root alpha - acos(-c0/R) below 0.
+    R > 0 on every query: a1 > 0 when ct > 0, and the tangential rule has
+    u = st = 1, where the zero is exactly pi.  Returns shape (len(u),).
     """
     u = np.asarray(u, dtype=float)
     c0 = -2.0 * r * (1.0 + r * r) * ct - n * (1.0 - r * r) * r * ct
     a1 = (4.0 * r * r + n * (1.0 - r * r)) * ct
     b1 = n * (1.0 - r * r) * u * st
     R = np.hypot(a1, b1)
-    real = np.abs(c0) < R
-    alpha = np.arctan2(b1, a1)
-    beta = np.arccos(np.clip(-c0 / np.where(real, R, 1.0), -1.0, 1.0))
-    phi = np.stack([alpha - beta, alpha + beta], axis=-1)
-    inside = real[:, None] & (phi > 0.0) & (phi < math.pi)
-    return np.sort(np.where(inside, phi, math.pi), axis=-1)
+    phi = np.arctan2(b1, a1) + np.arccos(np.clip(-c0 / R, -1.0, 1.0))
+    return np.clip(phi, 0.0, math.pi)
 
 
 def _polar_integrals(n, r, ct, st, u, nodes):
     """integral over [0, pi] of |F(phi, u)| sin^(n-2)(phi) dphi, for each u,
-    as an array of shape (len(u), 3): one column per piece.
+    as an array of shape (len(u), 2): one column per piece.
 
-    The polar interval is split at the kinks into three pieces (one or
-    two of zero width when there are fewer kinks), and the kernel is
-    evaluated once per piece on all (u, node) points.  The whole (u,
-    piece, node) grid at once peaks at about 1.3 MB of temporaries at
-    the default rule, near glibc's heap trim threshold, so whether each
-    query gave the heap top back and page-faulted it in again (about
-    60 % slower) depended on the process's heap layout.  A piece at a
-    time peaks at about 0.5 MB.
+    The polar interval is split at the kink into the pieces [0, phi*]
+    and [phi*, pi], and the kernel is evaluated once per piece on all
+    (u, node) points.  Both pieces at once would peak at about 0.9 MB of
+    temporaries at the default rule, near glibc's heap trim threshold,
+    so whether each query gave the heap top back and page-faulted it in
+    again (about 60 % slower) would depend on the process's heap layout.
+    A piece at a time peaks at about 0.5 MB.
     """
     u = np.asarray(u, dtype=float)
     xg, wg = _gauss_legendre(nodes)
-    kinks = _kink_points(n, r, ct, st, u)
-    ends = np.concatenate([np.zeros((u.size, 1)), kinks,
-                           np.full((u.size, 1), math.pi)], axis=1)
+    kink = _kink_points(n, r, ct, st, u)
     kern = backend.get_backend()
-    pieces = np.empty((u.size, 3))
-    for j in range(3):
-        a, b = ends[:, j], ends[:, j + 1]
+    pieces = np.empty((u.size, 2))
+    for j, (a, b) in enumerate([(0.0, kink), (kink, math.pi)]):
         half = 0.5 * (b - a)
         phi = (0.5 * (a + b))[:, None] + half[:, None] * xg
         sphi = np.sin(phi)

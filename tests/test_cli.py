@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from ballgrad.cli import _DEFAULT_TOLS, main
-from ballgrad.closedform4 import c_at_zero, frak_c, gradient_bound
+from ballgrad.closedform4 import (c_at_zero, frak_c, gradient_bound,
+                                  sharp_constant_report)
 from test_kernelint import C_N3_REF
 
 
@@ -83,6 +84,17 @@ def test_constant_by_quadrature(capsys, n, key, expected, tol):
     (rep,) = json.loads(out)["reports"]
     assert rep["method"] == "quadrature_exploratory"
     assert abs(rep[key] - expected) / expected < tol
+
+
+def test_constant_labels_the_series_branch(capsys):
+    """Below SERIES_R_THRESHOLD all three numbers come from the series,
+    and the record says so, as sharp_constant_report does."""
+    code, out, _ = run_cli(capsys, "constant", "--r", "5e-4", "--json", "--no-timing")
+    assert code == 0
+    doc = json.loads(out)
+    (rep,) = doc["reports"]
+    assert rep["method"] == sharp_constant_report(5e-4).method == "series_branch"
+    assert doc["manifest"]["method_tags"] == ["series_branch"]
 
 
 def test_constant_usage_errors(capsys):
@@ -244,6 +256,14 @@ def test_verify_tol_recorded_under_the_key_it_overrides(capsys, suite, key):
     ("sweep", "--tol", "0.5"),
     ("constant", "--r", "0.5", "--method", "monte-carlo"),
     ("curve", "--samples", "100"),
+    ("constant", "--r", "0.5", "--n", "1"),
+    ("oracle", "--r", "0.5", "--n", "1"),
+    ("sweep", "--n", "1"),
+    ("verify", "conjecture", "--n", "1"),
+    ("verify", "oracle", "--n", "1"),
+    ("verify", "sup", "--n", "2"),
+    ("verify", "lemmas", "--n", "3"),
+    ("verify", "identities", "--n", "3"),
 ])
 def test_options_rejected_where_nothing_reads_them(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -285,7 +305,8 @@ def test_oracle_monte_carlo_seeded(capsys):
 
 
 def test_oracle_numerical_error_exit(capsys):
-    code, _, err = run_cli(capsys, "oracle", "--n", "1", "--r", "0.5")
+    code, _, err = run_cli(capsys, "oracle", "--r", "0.5", "--method",
+                           "monte-carlo", "--samples", "1")
     assert code == 3
     assert "evaluation failed" in err
 

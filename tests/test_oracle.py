@@ -233,10 +233,9 @@ def test_best_direction_normal_wins():
         best_direction(4, 0.6, [0.1, 0.4], SQ)  # grid must contain 0
 
 
-def _sign_factor(n, r, ct, st, u, phi):
-    """rho^(n+2) <grad P, v>, read off the kernel."""
-    phi = np.asarray(phi, dtype=float)
-    cphi, sphi = np.cos(phi), np.sin(phi)
+def _sign_factor(n, r, ct, st, u, cphi, sphi):
+    """rho^(n+2) <grad P, v> at zeta_n = cphi, zeta_1 = sphi*u, read off
+    the kernel."""
     rho2 = 1.0 - 2.0 * r * cphi + r * r
     F = grad_dot_batch(cphi, sphi, u, r, n, ct, st)
     return F * rho2 ** ((n + 2) / 2.0)
@@ -246,22 +245,29 @@ def _sign_factor(n, r, ct, st, u, phi):
 @pytest.mark.parametrize("r", [0.0, 0.05, 0.5, 0.95])
 @pytest.mark.parametrize("theta", [1e-3, math.pi / 4, math.pi / 2 - 1e-5])
 def test_kink_points_are_the_sign_changes(n, r, theta):
-    """Closed-form kinks: zeros of the sign factor, and every sign change
-    a dense scan of [0, pi] finds (pi pads a missing kink)."""
+    """One closed-form kink per u: the zero of the sign factor, and the
+    only sign change a dense scan of [0, pi] finds, between the poles'
+    values of opposite sign.  The one-node tangential rule (ct = 0,
+    st = 1, u = 1) has its kink at exactly pi."""
+    assert _kink_points(n, r, 0.0, 1.0, np.ones(1)).tolist() == [math.pi]
     ct, st = math.cos(theta), math.sin(theta)
     us = np.array([-1.0, 0.0, 0.3, 1.0])
     kinks = _kink_points(n, r, ct, st, us)
-    assert kinks.shape == (4, 2)
+    assert kinks.shape == (4,)
+    assert np.all((kinks > 0.0) & (kinks < math.pi))
+    north = ct * (1.0 - r) ** 2 * (n * (1.0 + r) - 2.0 * r)
+    south = -ct * (1.0 + r) ** 2 * (2.0 * r + n * (1.0 - r))
     scan = np.linspace(0.0, math.pi, 4097)
-    for u, row in zip(us, kinks):
-        real = row[row < math.pi]
-        g = _sign_factor(n, r, ct, st, u, scan)
+    for u, kink in zip(us, kinks):
+        g = _sign_factor(n, r, ct, st, u, np.cos(scan), np.sin(scan))
         scale = np.max(np.abs(g))
-        assert np.all(real > 0.0)
-        assert np.all(np.abs(_sign_factor(n, r, ct, st, u, real)) <= 1e-12 * scale)
+        at_kink = _sign_factor(n, r, ct, st, u, math.cos(kink), math.sin(kink))
+        assert abs(at_kink) <= 1e-12 * scale
         s = np.sign(g[g != 0.0])  # a zero on a scan point is no change
-        changes = int(np.sum(s[:-1] * s[1:] < 0.0))
-        assert changes == real.size, (u, row)
+        assert int(np.sum(s[:-1] * s[1:] < 0.0)) == 1, (u, kink)
+        poles = _sign_factor(n, r, ct, st, u, np.array([1.0, -1.0]), 0.0)
+        assert abs(poles[0] - north) <= 1e-12 * abs(north)
+        assert abs(poles[1] - south) <= 1e-12 * abs(south)
 
 
 def test_gauss_rules_cached_read_only():
