@@ -313,6 +313,9 @@ def cmd_verify(args, argv):
         reports = _sup_reports(args)
         tags = ["golden_section"]
     elif args.suite == "conjecture":
+        if args.theta_steps < 2:
+            raise UsageError("--theta-steps must be >= 2 (theta = 0 against "
+                             f"at least one other angle), got {args.theta_steps}")
         sq = _sphere_quadrature(args)
         r_grid = np.linspace(0.05, 0.95, args.r_steps)
         theta_grid = np.linspace(0.0, math.pi / 2.0, args.theta_steps)

@@ -112,11 +112,17 @@ class QuadratureSpec:
 def sphere_area(n):
     """Surface area of the unit sphere S^(n-1): 2 pi^(n/2) / Gamma(n/2).
 
-    Valid down to n = 1 (S^0 is the two-point set, area 2).
+    Valid down to n = 1 (S^0 is the two-point set, area 2).  From n = 344
+    on Gamma(n/2) overflows a float, and the dimension is rejected.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"dimension must be an integer >= 1, got {n}")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    try:
+        gamma = math.gamma(n / 2.0)
+    except OverflowError:
+        raise ValueError(f"sphere_area({n}) is out of range: Gamma(n/2) "
+                         "overflows a float for n >= 344") from None
+    return 2.0 * math.pi ** (n / 2.0) / gamma
 
 
 def q_partial_fractions(w, r, z):

@@ -26,13 +26,13 @@ the sup-location search (grid seed + golden section) and
 spherical oracle.
 """
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .closedform4 import (EvalPoint, _atan_den, _c_at_zero_arr, _c_closed_arr,
                           _c_components_arr, _envelope_g1_arr, _envelope_L_arr,
@@ -43,6 +43,16 @@ from .kernelint import ParamSet, QuadratureSpec, c_numeric, q_partial_fractions
 from .poisson_oracle import SphereQuadrature, best_direction
 
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+#: Sobol points are 30-bit integers scaled by 2^-30.
+_SOBOL_BITS = 30
+#: Joe-Kuo rows (s, a, (m_1, ..., m_s)) of Sobol dimensions 2, 3, ...;
+#: dimension 1 is the van der Corput sequence.
+_SOBOL_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)))
+#: Largest number of grid points an inequality side is evaluated on in
+#: one call; a larger grid is evaluated in row blocks, so the temporaries
+#: of each call stay small heap blocks instead of fresh mappings.
+_BLOCK_POINTS = 8192
 
 #: The nine core derivative identities (the antiderivative suite).
 DERIVATIVE_SUITE = ("r_prime_eq_q", "u_prime", "u1_prime", "vu_combination",
@@ -104,6 +114,45 @@ class VerificationReport:
     note: str = ""
 
 
+def _sobol_directions(d):
+    """Direction integers v_k = m_k 2^(B-k), k = 1..B, of Sobol dimension d."""
+    if d == 1:
+        m = [1] * _SOBOL_BITS
+    else:
+        s, a, m = _SOBOL_JOE_KUO[d - 2]
+        m = list(m)
+        for k in range(s, _SOBOL_BITS):
+            mk = m[k - s] ^ (m[k - s] << s)
+            for j in range(1, s):
+                if (a >> (s - 1 - j)) & 1:
+                    mk ^= m[k - j] << j
+            m.append(mk)
+    return [mk << (_SOBOL_BITS - 1 - k) for k, mk in enumerate(m)]
+
+
+@functools.lru_cache(maxsize=None)
+def _sobol_unit(n, d):
+    """Cached first n points of the unscrambled d-dimensional Sobol
+    sequence in [0, 1)^d, in Gray-code order, as a read-only (n, d) array.
+
+    Point i is the XOR of the direction integers at the set bits of the
+    Gray code i ^ (i >> 1), scaled by 2^-30: the points of
+    ``scipy.stats.qmc.Sobol(d, scramble=False).random(n)``, bit for bit.
+    """
+    if not 1 <= d <= len(_SOBOL_JOE_KUO) + 1:
+        raise ValueError(f"no Sobol direction numbers for dimension d={d} "
+                         f"(1 <= d <= {len(_SOBOL_JOE_KUO) + 1})")
+    i = np.arange(n, dtype=np.int64)
+    gray = i ^ (i >> 1)
+    pts = np.zeros((n, d), dtype=np.int64)
+    for j in range(d):
+        for b, v in enumerate(_sobol_directions(j + 1)):
+            pts[:, j] ^= np.where((gray >> b) & 1, v, 0)
+    x = pts * 2.0 ** -_SOBOL_BITS
+    x.flags.writeable = False
+    return x
+
+
 def _richardson(f, args, i):
     # central difference at steps h and h/2, Richardson-combined: O(h^4)
     x = args[i]
@@ -163,10 +212,9 @@ def check_derivative_identity(case, n_points=1024, tolerance=1e-7):
     """
     if case.kind == "pointwise_leq":
         raise ValueError(f"{case.name} is an inequality; use check_inequality")
-    los = [lo for _, lo, _ in case.domain]
-    his = [hi for _, _, hi in case.domain]
-    sampler = qmc.Sobol(d=len(case.domain), scramble=False)
-    pts = qmc.scale(sampler.random(n_points), los, his)
+    los = np.array([lo for _, lo, _ in case.domain])
+    his = np.array([hi for _, _, hi in case.domain])
+    pts = los + _sobol_unit(n_points, len(case.domain)) * (his - los)
     args = tuple(np.ascontiguousarray(col) for col in pts.T)
 
     try:
@@ -200,7 +248,9 @@ def check_inequality(case, tolerance=1e-12):
     Reports the worst signed violation (positive means violated), with a
     small roundoff slack as the default tolerance.  The special checker
     ``monotone_decreasing`` instead verifies that consecutive lhs values
-    strictly decrease along a one-dimensional grid.
+    strictly decrease along a one-dimensional grid.  A grid of more than
+    ``_BLOCK_POINTS`` points is evaluated in blocks of whole rows of its
+    first axis, joined in order, so the first maximum is the same.
     """
     if case.kind != "pointwise_leq":
         raise ValueError(f"{case.name} is not an inequality case")
@@ -218,7 +268,11 @@ def check_inequality(case, tolerance=1e-12):
             vals = case.lhs(grid)
         else:
             mesh = np.meshgrid(*axes, indexing="ij")
-            viol = case.lhs(*mesh) - case.rhs(*mesh)
+            viol = np.empty(mesh[0].shape)
+            step = max(1, _BLOCK_POINTS * len(viol) // viol.size)
+            for i in range(0, len(viol), step):
+                rows = [m[i:i + step] for m in mesh]
+                viol[i:i + step] = case.lhs(*rows) - case.rhs(*rows)
     except Exception as exc:
         raise EvaluationError(f"{case.name}: evaluation failed: {exc}") from exc
 

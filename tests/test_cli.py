@@ -264,6 +264,8 @@ def test_verify_tol_recorded_under_the_key_it_overrides(capsys, suite, key):
     ("verify", "sup", "--n", "2"),
     ("verify", "lemmas", "--n", "3"),
     ("verify", "identities", "--n", "3"),
+    ("verify", "conjecture", "--theta-steps", "1"),
+    ("sweep", "--theta-steps", "1"),
 ])
 def test_options_rejected_where_nothing_reads_them(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -309,6 +311,14 @@ def test_oracle_numerical_error_exit(capsys):
                            "monte-carlo", "--samples", "1")
     assert code == 3
     assert "evaluation failed" in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "constant"])
+def test_dimension_past_the_gamma_overflow_exits_three(capsys, command):
+    code, out, err = run_cli(capsys, command, "--r", "0.5", "--n", "400")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("evaluation failed: ") and err.count("\n") == 1
 
 
 def test_oracle_rejects_z_option(capsys):

@@ -51,6 +51,12 @@ def test_sphere_area_small_dimensions():
         sphere_area(2.5)
 
 
+def test_sphere_area_rejects_dimensions_whose_gamma_overflows():
+    assert sphere_area(343) == 2.0 * math.pi ** 171.5 / math.gamma(171.5)
+    with pytest.raises(ValueError, match="sphere_area\\(344\\)"):
+        sphere_area(344)
+
+
 def test_param_set_from_radius():
     ps = ParamSet.from_radius(0.5, 4)
     assert math.isclose(ps.k, 1.0 / 3.0, rel_tol=1e-15)

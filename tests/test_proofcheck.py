@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from ballgrad.proofcheck import (
     run_identity_suite,
     run_inequality_suite,
 )
+from ballgrad.proofcheck import _BLOCK_POINTS, _sobol_unit
 
 
 def test_registry_completeness():
@@ -94,6 +99,48 @@ def test_detects_a_broken_inequality():
     rep = check_inequality(bad)
     assert not rep.passed
     assert rep.worst_violation > 0.5
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 64, 1024])
+def test_sobol_sample_matches_scipy(n, d):
+    from scipy.stats import qmc
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # n = 1 is not a power of two
+        ref = qmc.Sobol(d, scramble=False).random(n)
+    pts = _sobol_unit(n, d)
+    assert pts.dtype == ref.dtype and pts.shape == (n, d)
+    assert np.array_equal(pts, ref)
+    assert not pts.flags.writeable
+    assert _sobol_unit(n, d) is pts
+
+
+def test_sobol_sample_rejects_dimensions_beyond_its_table():
+    with pytest.raises(ValueError, match="d=4"):
+        _sobol_unit(16, 4)
+
+
+def test_import_leaves_scipy_stats_out():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    code = ("import sys, ballgrad, ballgrad.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
+
+
+def test_row_blocks_match_the_whole_grid():
+    case = next(c for c in inequality_cases() if c.name == "c_sup_sweep")
+    assert case.grid_shape == (200, 200) and 200 * 200 > _BLOCK_POINTS
+    axes = [np.linspace(0.05, 0.995, 200),
+            np.geomspace(1e-3, 50.0, 200)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    viol = case.lhs(*mesh) - case.rhs(*mesh)
+    i = int(np.argmax(viol))
+    rep = check_inequality(case)
+    assert rep.worst_violation == float(viol.flat[i])
+    assert rep.worst_location == (float(mesh[0].flat[i]), float(mesh[1].flat[i]))
 
 
 def test_identity_case_validation():
