@@ -316,6 +316,8 @@ def cmd_verify(args, argv):
         if args.theta_steps < 2:
             raise UsageError("--theta-steps must be >= 2 (theta = 0 against "
                              f"at least one other angle), got {args.theta_steps}")
+        if args.r_steps < 1:
+            raise UsageError(f"--r-steps must be >= 1, got {args.r_steps}")
         sq = _sphere_quadrature(args)
         r_grid = np.linspace(0.05, 0.95, args.r_steps)
         theta_grid = np.linspace(0.0, math.pi / 2.0, args.theta_steps)

@@ -692,19 +692,27 @@ def locate_sup(r, n=4, grid_points=512):
     return SupResult(z_star=float(z_star), c_star=float(c_star))
 
 
+#: Allowances a Monte Carlo n = 2 profile may spread by and still count
+#: as flat (3 angles at r = 0.05 reached 3.4 over 200 seeds).
+_MC_FLAT_SIGMAS = 4.0
+
+
 def conjecture_report(n, r_grid, theta_grid, sq=SphereQuadrature()):
     """Aggregate best_direction over a radius grid.
 
     For n = 4 this is a genuine pass/fail check: theta = 0 must maximize
     every profile within the quadrature error allowance.  n = 2 runs a
-    direction-independence (flatness) check instead, and any other
-    dimension is exploratory -- reported, never failed.
+    direction-independence (flatness) check instead: a relative spread of
+    at most 1e-5 under the product rule, or, under Monte Carlo, a spread
+    within 4 allowances.  Any other dimension is exploratory --
+    reported, never failed.
     """
     r_grid = [float(r) for r in r_grid]
     theta_grid = [float(t) for t in theta_grid]
     if not r_grid:
         raise ValueError("r_grid must be nonempty")
 
+    monte_carlo = sq.method == "monte_carlo"
     worst = -math.inf
     where = None
     for r in r_grid:
@@ -712,7 +720,12 @@ def conjecture_report(n, r_grid, theta_grid, sq=SphereQuadrature()):
         values = [v for _, v in bd.profile]
         value0 = dict(bd.profile)[0.0]
         if n == 2:
-            spread = (max(values) - min(values)) / max(values)
+            # a Monte Carlo profile is flat only within its noise.  The
+            # allowance SE(0) + SE(theta*) bounds the standard error of the
+            # difference of two angles' values, whose errors can be
+            # anticorrelated, and the spread may reach a few of those
+            slack = _MC_FLAT_SIGMAS * bd.allowance if monte_carlo else 0.0
+            spread = (max(values) - min(values) - slack) / max(values)
             if spread > worst:
                 t_at = max(bd.profile, key=lambda tv: tv[1])[0]
                 worst, where = spread, (r, t_at)
@@ -726,6 +739,8 @@ def conjecture_report(n, r_grid, theta_grid, sq=SphereQuadrature()):
 
     if n == 4:
         tolerance, note = 0.0, "normal direction maximizes within allowance"
+    elif n == 2 and monte_carlo:
+        tolerance, note = 0.0, "direction-independence (flatness) within allowance"
     elif n == 2:
         tolerance, note = 1e-5, "direction-independence (flatness) check"
     else:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from ballgrad import poisson_oracle
 from ballgrad.cli import _DEFAULT_TOLS, main
 from ballgrad.closedform4 import (c_at_zero, frak_c, gradient_bound,
                                   sharp_constant_report)
@@ -221,14 +222,30 @@ def test_verify_conjecture_exploratory_dimension_exits_zero(capsys):
     assert code == 0
 
 
-def test_verify_conjecture_failed_disk_check_exits_one(capsys):
-    """n = 2 is judged by flatness; 20k Monte Carlo samples leave the
-    profile too noisy to pass it, and the exit code says so."""
+def test_verify_conjecture_failed_disk_check_exits_one(capsys, monkeypatch):
+    """n = 2 is judged by flatness; a Monte Carlo oracle whose values grow
+    with the angle fails it, and the exit code says so."""
+    original = poisson_oracle._mc_constant
+
+    def tilted(q, sq):
+        value, stderr = original(q, sq)
+        return value * (1.0 + q.theta), stderr
+
+    monkeypatch.setattr(poisson_oracle, "_mc_constant", tilted)
     code, out, _ = run_cli(capsys, "verify", "conjecture", "--n", "2",
                            "--method", "monte-carlo", "--samples", "20000",
                            "--r-steps", "2", "--theta-steps", "3")
     assert code == 1
     assert out.startswith("FAIL conjecture_n2")
+
+
+def test_verify_conjecture_monte_carlo_disk_passes(capsys):
+    """The Monte Carlo profile is flat within its standard errors."""
+    code, out, _ = run_cli(capsys, "verify", "conjecture", "--n", "2",
+                           "--method", "monte-carlo", "--r-steps", "1",
+                           "--theta-steps", "3")
+    assert code == 0
+    assert out.startswith("PASS conjecture_n2")
 
 
 def test_verify_unknown_suite(capsys):
@@ -266,6 +283,8 @@ def test_verify_tol_recorded_under_the_key_it_overrides(capsys, suite, key):
     ("verify", "identities", "--n", "3"),
     ("verify", "conjecture", "--theta-steps", "1"),
     ("sweep", "--theta-steps", "1"),
+    ("verify", "conjecture", "--r-steps", "0"),
+    ("sweep", "--r-steps", "0"),
 ])
 def test_options_rejected_where_nothing_reads_them(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -8,6 +8,7 @@ against an implementation that shares no code with it.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -278,6 +279,83 @@ def test_gauss_rules_cached_read_only():
             w[0] = 0.0
     assert _gauss_legendre(96) is rules[0]
     assert _azimuthal_rule(4, 64) is rules[2]
+
+
+def _mp_gegenbauer_rule(m, alpha, x0):
+    """m-point Gauss rule for the weight (1-x^2)^(alpha-1/2), alpha > 0, at
+    the working precision: each node of ``x0`` refined by a Newton step on
+    the Gegenbauer polynomial C_m^(alpha), from the recurrence
+    (k+1) C_(k+1) = 2 (k+alpha) x C_k - (k+2alpha-1) C_(k-1), and each
+    weight from the Christoffel sum 1 / sum_(k<m) C_k(x)^2 / h_k with the
+    norms h_k = pi 2^(1-2alpha) Gamma(k+2alpha) / (k! (k+alpha) Gamma(alpha)^2).
+    Returns the nodes, the weights and the Newton steps that would come
+    next."""
+    mp = mpmath.mp
+    a = mp.mpf(alpha)
+    A = [2 * (k + a) / (k + 1) for k in range(m)]
+    B = [(k + 2 * a - 1) / (k + 1) for k in range(m)]
+    inv_h = [mp.factorial(k) * (k + a) * mp.gamma(a) ** 2
+             / (mp.pi * mp.mpf(2) ** (1 - 2 * a) * mp.gamma(k + 2 * a))
+             for k in range(m)]
+
+    def evaluate(x):
+        c_prev, c, d_prev, d, total = 0, mp.mpf(1), 0, 0, 0
+        for k in range(m):
+            total += inv_h[k] * c * c
+            c_prev, c, d_prev, d = (c, A[k] * x * c - B[k] * c_prev,
+                                    d, A[k] * (c + x * d) - B[k] * d_prev)
+        return c / d, total
+
+    nodes, weights, steps = [], [], []
+    for x in x0:
+        x = mp.mpf(float(x))
+        x -= evaluate(x)[0]
+        step, total = evaluate(x)
+        nodes.append(x)
+        weights.append(1 / total)
+        steps.append(step)
+    return nodes, weights, steps
+
+
+@pytest.mark.parametrize("rule,alpha", [
+    *[(lambda m=m: _gauss_legendre(m), 0.5) for m in (32, 48, 64, 96, 128)],
+    (lambda: _azimuthal_rule(6, 128), 1.5),  # weight (1-u^2)
+    (lambda: _azimuthal_rule(7, 64), 2.0),   # weight (1-u^2)^1.5
+], ids=["legendre32", "legendre48", "legendre64", "legendre96", "legendre128",
+        "n6_m128", "n7_m64"])
+def test_gauss_rules_match_40_digit_rules(rule, alpha):
+    """Nodes within 2e-16 and weights within 1e-13 relative of a 40-digit
+    rule.  Its nodes are m distinct roots, so the rule has all of them."""
+    x, w = rule()
+    m = len(x)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    with mpmath.workdps(40):
+        nodes, weights, steps = _mp_gegenbauer_rule(m, alpha, x)
+        assert max(abs(s) for s in steps) < 1e-25
+        assert all(b > a for a, b in zip(nodes, nodes[1:]))
+        node_err = max(abs(xi - ref) for xi, ref in zip(x, nodes))
+        weight_err = max(abs(wi / ref - 1) for wi, ref in zip(w, weights))
+    assert node_err <= 2e-16
+    assert weight_err <= 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64])
+def test_chebyshev_rules_are_the_closed_forms(m):
+    """n = 3 and n = 5 take the Chebyshev rules of the first and second
+    kind: x = cos((2k-1) pi/(2m)), w = pi/m, and x = cos(k pi/(m+1)),
+    w = pi/(m+1) sin^2(k pi/(m+1)), checked at 40 digits."""
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        k = range(m, 0, -1)  # ascending nodes
+        first = ([mp.cos((2 * j - 1) * mp.pi / (2 * m)) for j in k],
+                 [mp.pi / m] * m)
+        second = ([mp.cos(j * mp.pi / (m + 1)) for j in k],
+                  [mp.pi / (m + 1) * mp.sin(j * mp.pi / (m + 1)) ** 2 for j in k])
+        for n, (nodes, weights) in ((3, first), (5, second)):
+            x, w = _azimuthal_rule(n, m)
+            assert max(abs(xi - ref) for xi, ref in zip(x, nodes)) <= 2e-16
+            assert max(abs(wi / ref - 1) for wi, ref in zip(w, weights)) <= 1e-13
 
 
 @pytest.mark.parametrize("n,r,sq", [

@@ -130,6 +130,24 @@ def test_import_leaves_scipy_stats_out():
     assert res.stdout.strip() == "[]"
 
 
+def test_oracle_queries_leave_scipy_out():
+    """Nothing at run time loads scipy, lazily either: the Gauss rules of
+    every product-rule dimension and of the kernel mass are built in
+    numpy."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    code = ("import sys, ballgrad, ballgrad.cli\n"
+            "from ballgrad import DirectionalQuery, directional_constant, kernel_mass\n"
+            "for n in range(2, 8):\n"
+            "    directional_constant(DirectionalQuery(n, 0.5, 0.7))\n"
+            "kernel_mass(0.5, 4)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
+
+
 def test_row_blocks_match_the_whole_grid():
     case = next(c for c in inequality_cases() if c.name == "c_sup_sweep")
     assert case.grid_shape == (200, 200) and 200 * 200 > _BLOCK_POINTS
