@@ -107,6 +107,16 @@ def _emit_csv(header, rows, manifest, out):
         sys.stderr.write(mtext)
 
 
+def _int_at_least(least):
+    """argparse type: an integer no smaller than ``least``."""
+    def int_at_least(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return int_at_least
+
+
 def _check_n(n, least):
     if n < least:
         raise UsageError(f"--n must be >= {least}, got {n}")
@@ -214,10 +224,9 @@ def cmd_curve(args, argv):
 
 def _sup_reports(args):
     n = args.n
-    radii = np.linspace(0.05, 0.95, 19)
+    radii = np.linspace(0.05, 0.95, args.r_steps)
     reports = []
-    for r in radii:
-        res = proofcheck.locate_sup(float(r), n=n)
+    for r, res in zip(radii, proofcheck.locate_sup(radii, n=n)):
         if n == 4:
             c0 = c_at_zero(float(r))
             ok = res.z_star <= 1e-4 and res.c_star <= c0 * (1.0 + 1e-9)
@@ -316,8 +325,6 @@ def cmd_verify(args, argv):
         if args.theta_steps < 2:
             raise UsageError("--theta-steps must be >= 2 (theta = 0 against "
                              f"at least one other angle), got {args.theta_steps}")
-        if args.r_steps < 1:
-            raise UsageError(f"--r-steps must be >= 1, got {args.r_steps}")
         sq = _sphere_quadrature(args)
         r_grid = np.linspace(0.05, 0.95, args.r_steps)
         theta_grid = np.linspace(0.0, math.pi / 2.0, args.theta_steps)
@@ -377,13 +384,13 @@ def build_parser():
     common.add_argument("--out", default=None, help="write output to this path")
     common.add_argument("--no-timing", action="store_true",
                         help="omit wall time from the manifest (reproducible bytes)")
-    common.add_argument("--seed", type=int, default=_DEFAULT_SEED)
+    common.add_argument("--seed", type=_int_at_least(0), default=_DEFAULT_SEED)
 
     # sphere quadrature: commands that query the Poisson oracle
     oracle_opts = argparse.ArgumentParser(add_help=False)
     oracle_opts.add_argument("--method", choices=["product-gauss", "monte-carlo"],
                              default="product-gauss")
-    oracle_opts.add_argument("--samples", type=int, default=200_000,
+    oracle_opts.add_argument("--samples", type=_int_at_least(2), default=200_000,
                              help="Monte Carlo sample count")
 
     parser = argparse.ArgumentParser(
@@ -418,7 +425,7 @@ def build_parser():
                    help="override the suite's default tolerance "
                         f"({', '.join(_TOL_KEYS)} suites)")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--r-steps", type=int, default=19)
+    p.add_argument("--r-steps", type=_int_at_least(1), default=19)
     p.add_argument("--theta-steps", type=int, default=50)
     p.set_defaults(func=cmd_verify)
 
@@ -432,7 +439,7 @@ def build_parser():
     p = sub.add_parser("sweep", parents=[common, oracle_opts],
                        help="direction-profile sweep (verify conjecture)")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--r-steps", type=int, default=19)
+    p.add_argument("--r-steps", type=_int_at_least(1), default=19)
     p.add_argument("--theta-steps", type=int, default=50)
     p.set_defaults(func=cmd_verify, suite="conjecture", tol=None)
 

@@ -37,7 +37,7 @@ import numpy as np
 from .closedform4 import (EvalPoint, _atan_den, _c_at_zero_arr, _c_closed_arr,
                           _c_components_arr, _envelope_g1_arr, _envelope_L_arr,
                           _frak_c_arr, _gradient_bound_arr, _psi_closed_arr,
-                          _sqrt_s, _v_certificate_arr, c_closed)
+                          _sqrt_s, _v_certificate_arr)
 from .exceptions import EvaluationError
 from .kernelint import ParamSet, QuadratureSpec, c_numeric, q_partial_fractions
 from .poisson_oracle import SphereQuadrature, best_direction
@@ -628,72 +628,113 @@ _SUP_QUADRATURE = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)  # n != 4
 
 
 def _golden_max(f, a, b, rel_tol=1e-12, max_iter=200):
+    """Golden-section maximum of ``f`` on each bracket [a_k, b_k].
+
+    ``f(rows, x)`` evaluates bracket ``rows[j]``'s function at ``x[j]``.
+    Every bracket runs its own scalar recurrence, in lockstep with the
+    others: the same update and the same stop test b - a <= rel_tol
+    (1 + |a| + |b|), so it visits the points that a search of that
+    bracket alone would visit.  Each step evaluates only the brackets
+    that have not yet converged.  Returns the midpoints and their values.
+    """
     g = (math.sqrt(5.0) - 1.0) / 2.0
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    rows = np.arange(a.size)
     c = b - g * (b - a)
     d = a + g * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = f(rows, c), f(rows, d)
     for _ in range(max_iter):
-        if b - a <= rel_tol * (1.0 + abs(a) + abs(b)):
+        live = np.flatnonzero(b - a > rel_tol * (1.0 + np.abs(a) + np.abs(b)))
+        if live.size == 0:
             break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
+        left = fc[live] >= fd[live]
+        lo, hi = live[left], live[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - g * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + g * (b[hi] - a[hi])
+        y = f(live, np.where(left, c[live], d[live]))
+        fc[lo], fd[hi] = y[left], y[~left]
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, f(rows, x)
 
 
 def locate_sup(r, n=4, grid_points=512):
     """Maximize z -> C(z, r): log-grid seed + golden-section refinement.
 
-    For n = 4 the profile comes from the closed form, whose seed grid is
-    one array call; otherwise from the quadrature representation, one
-    call per grid point.  The profile does not decay -- it levels
-    off at the tangential-direction value as z grows -- so the search
-    window [0, 6] is doubled only while the grid argmax keeps landing
-    on the right edge, meaning the maximum might still lie beyond it.
+    ``r`` is one radius or a 1-D array of radii, searched together: a
+    scalar gives one ``SupResult`` of floats, an array a list of them,
+    one per radius, in order.  Every radius must lie in (0, 1).  For
+    n = 4 the profile comes from the closed form, so the seed grids of
+    all radii are one array call and each golden-section step one call
+    for the radii still refining; otherwise it comes from the quadrature
+    representation, one call per point.  The profile does not decay --
+    it levels off at the tangential-direction value as z grows -- so a
+    radius's search window [0, 6] is doubled only while its grid argmax
+    keeps landing on the right edge, meaning the maximum might still lie
+    beyond it.
     """
+    radii = np.asarray(r, dtype=float)
+    scalar = radii.ndim == 0
+    radii = np.atleast_1d(radii)
+    if radii.ndim != 1:
+        raise ValueError(f"r must be a scalar or a 1-D array, got shape {radii.shape}")
+    for rk in radii:
+        if not 0.0 < rk < 1.0:
+            raise ValueError(f"r must lie in (0, 1), got {rk}")
+
+    # profile(rows, zs): C(zs[j], r[rows[j]]) for zs of shape (p,) or (rows, p)
     if n == 4:
-        def point(z):
-            return c_closed(EvalPoint(r, z))
-
-        def profile(zs):
-            return _c_closed_arr(r, zs)
+        def profile(rows, zs):
+            return _c_closed_arr(radii[rows, None], zs)
     else:
-        ps = ParamSet.from_radius(r, n)
+        params = [ParamSet.from_radius(float(rk), n) for rk in radii]
 
-        def point(z):
-            return c_numeric(EvalPoint(r, z), ps, _SUP_QUADRATURE)[0]
+        def profile(rows, zs):
+            zs = np.broadcast_to(zs, (len(rows), zs.shape[-1]))
+            return np.array([c_numeric(EvalPoint(float(radii[k]), float(z)),
+                                       params[k], _SUP_QUADRATURE)[0]
+                             for k, zk in zip(rows, zs) for z in zk]
+                            ).reshape(zs.shape)
 
-        def profile(zs):
-            return np.array([point(z) for z in zs])
+    def point(rows, x):
+        return profile(rows, x[:, None])[:, 0]
 
+    m = radii.size
+    zs = np.empty((m, grid_points))
+    vals = np.empty((m, grid_points))
+    pending = np.arange(m)
     z_max = _SUP_Z_MAX
     for _ in range(20):
-        zs = np.concatenate([[0.0], np.geomspace(1e-8, z_max, grid_points - 1)])
-        vals = profile(zs)
-        i = int(np.argmax(vals))
-        if i + 2 < len(zs):
+        grid = np.concatenate([[0.0], np.geomspace(1e-8, z_max, grid_points - 1)])
+        zs[pending] = grid
+        vals[pending] = profile(pending, grid)
+        pending = pending[np.argmax(vals[pending], axis=1) + 2 >= grid_points]
+        if pending.size == 0:
             break
         z_max *= 2.0
     else:
-        raise EvaluationError(
-            f"maximum of C(., {r}) keeps running past z = {z_max}")
+        raise EvaluationError(f"maximum of C(., {radii[pending[0]]}) keeps "
+                              f"running past z = {z_max}")
 
-    lo = zs[i - 1] if i > 0 else 0.0
-    hi = zs[i + 1]
-    z_star, c_star = _golden_max(point, float(lo), float(hi))
-    if vals[i] >= c_star:  # never report worse than the best grid value
-        z_star, c_star = float(zs[i]), float(vals[i])
-    return SupResult(z_star=float(z_star), c_star=float(c_star))
+    rows = np.arange(m)
+    i = np.argmax(vals, axis=1)
+    lo = np.where(i > 0, zs[rows, i - 1], 0.0)
+    z_star, c_star = _golden_max(point, lo, zs[rows, i + 1])
+    # never report worse than the best grid value
+    keep = vals[rows, i] >= c_star
+    z_star = np.where(keep, zs[rows, i], z_star)
+    c_star = np.where(keep, vals[rows, i], c_star)
+    results = [SupResult(z_star=float(z), c_star=float(c))
+               for z, c in zip(z_star, c_star)]
+    return results[0] if scalar else results
 
 
-#: Allowances a Monte Carlo n = 2 profile may spread by and still count
-#: as flat (3 angles at r = 0.05 reached 3.4 over 200 seeds).
+#: Allowances a Monte Carlo profile may spread by: an n = 2 profile and
+#: still count as flat (3 angles at r = 0.05 reached 3.4 over 200 seeds),
+#: an n = 4 angle over theta = 0 (3 radii x 10 angles reached 1.96, at
+#: r = 0.05, over 200 seeds).
 _MC_FLAT_SIGMAS = 4.0
 
 
@@ -701,11 +742,11 @@ def conjecture_report(n, r_grid, theta_grid, sq=SphereQuadrature()):
     """Aggregate best_direction over a radius grid.
 
     For n = 4 this is a genuine pass/fail check: theta = 0 must maximize
-    every profile within the quadrature error allowance.  n = 2 runs a
-    direction-independence (flatness) check instead: a relative spread of
-    at most 1e-5 under the product rule, or, under Monte Carlo, a spread
-    within 4 allowances.  Any other dimension is exploratory --
-    reported, never failed.
+    every profile within the quadrature error allowance, or, under Monte
+    Carlo, within 4 allowances.  n = 2 runs a direction-independence
+    (flatness) check instead: a relative spread of at most 1e-5 under the
+    product rule, or, under Monte Carlo, a spread within 4 allowances.
+    Any other dimension is exploratory -- reported, never failed.
     """
     r_grid = [float(r) for r in r_grid]
     theta_grid = [float(t) for t in theta_grid]
@@ -719,12 +760,15 @@ def conjecture_report(n, r_grid, theta_grid, sq=SphereQuadrature()):
         bd = best_direction(n, r, theta_grid, sq)
         values = [v for _, v in bd.profile]
         value0 = dict(bd.profile)[0.0]
+        # a Monte Carlo profile is right only within its noise.  The
+        # allowance SE(0) + SE(theta*) bounds the standard error of the
+        # difference of two angles' values, whose errors can be
+        # anticorrelated, and the difference may reach a few of those
+        if monte_carlo:
+            slack = _MC_FLAT_SIGMAS * bd.allowance
+        else:
+            slack = 0.0 if n == 2 else bd.allowance
         if n == 2:
-            # a Monte Carlo profile is flat only within its noise.  The
-            # allowance SE(0) + SE(theta*) bounds the standard error of the
-            # difference of two angles' values, whose errors can be
-            # anticorrelated, and the spread may reach a few of those
-            slack = _MC_FLAT_SIGMAS * bd.allowance if monte_carlo else 0.0
             spread = (max(values) - min(values) - slack) / max(values)
             if spread > worst:
                 t_at = max(bd.profile, key=lambda tv: tv[1])[0]
@@ -733,7 +777,7 @@ def conjecture_report(n, r_grid, theta_grid, sq=SphereQuadrature()):
             for t, v in bd.profile:
                 if t == 0.0:
                     continue
-                excess = v - value0 - bd.allowance
+                excess = v - value0 - slack
                 if excess > worst:
                     worst, where = excess, (r, t)
 

@@ -126,17 +126,14 @@ def test_center_constant_direction_free():
 
 
 def test_vector_interface_folds_to_canonical_query():
-    rng = np.random.default_rng(7)
-    e = rng.standard_normal(4)
-    e /= np.linalg.norm(e)
-    f = rng.standard_normal(4)
-    f -= (f @ e) * e
-    f /= np.linalg.norm(f)
-    r, theta = 0.55, 0.9
-    v = math.cos(theta) * e + math.sin(theta) * f
-    ref = directional_constant(DirectionalQuery(4, r, theta), SQ)
-    assert directional_constant_vector(r * e, 3.7 * v, SQ) == ref  # scale-free
-    assert directional_constant_vector(r * e, -v, SQ) == ref       # obtuse folds
+    # cos theta = 0.8 for each vector: (x . v) / (|x| |v|) rounds to the
+    # literal 0.8, so the folded angle is acos(0.8) exactly
+    e2, e3 = np.eye(4)[1], np.eye(4)[2]
+    x = -0.5 * e2
+    ref = directional_constant(DirectionalQuery(4, 0.5, math.acos(0.8)), SQ)
+    assert directional_constant_vector(x, -4.0 * e2 + 3.0 * e3, SQ) == ref
+    assert directional_constant_vector(x, -12.0 * e2 + 9.0 * e3, SQ) == ref  # scale-free
+    assert directional_constant_vector(x, 4.0 * e2 - 3.0 * e3, SQ) == ref   # obtuse folds
 
 
 def test_monte_carlo_reproducible_and_consistent():

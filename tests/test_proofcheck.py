@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -27,7 +28,9 @@ from ballgrad.proofcheck import (
     run_identity_suite,
     run_inequality_suite,
 )
-from ballgrad.proofcheck import _BLOCK_POINTS, _sobol_unit
+from ballgrad import closedform4, proofcheck
+from ballgrad.exceptions import EvaluationError
+from ballgrad.proofcheck import _BLOCK_POINTS, _golden_max, _sobol_unit
 
 
 def test_registry_completeness():
@@ -202,6 +205,127 @@ def test_locate_sup_five_dimensional_ball():
     c0, _ = c_numeric(EvalPoint(0.5, 0.0), ParamSet.from_radius(0.5, 5))
     assert res.z_star <= 1e-4
     assert res.c_star == pytest.approx(c0, rel=1e-8)
+
+
+def _golden_scalar(f, a, b, rel_tol=1e-12, max_iter=200):
+    # the one-bracket recurrence the batched search must reproduce
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - g * (b - a)
+    d = a + g * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if b - a <= rel_tol * (1.0 + abs(a) + abs(b)):
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def test_golden_max_brackets_run_their_own_recurrence():
+    """Brackets of different widths stop at different steps; each visits
+    the points, and reaches the bits, of a search of it alone."""
+    peaks = np.array([0.3, 1e-9, 2.5, 40.0])
+    a = np.array([0.0, 0.0, 1.0, 10.0])
+    b = np.array([1.0, 1e-8, 3.0, 100.0])
+    visited = [[] for _ in peaks]
+
+    def f(rows, x):
+        for k, xk in zip(rows, x):
+            visited[k].append(float(xk))
+        return -np.cos(x - peaks[rows]) - (x - peaks[rows]) ** 2
+
+    x, fx = _golden_max(f, a, b)
+    for k in range(len(peaks)):
+        alone = []
+
+        def g(xk, k=k):
+            alone.append(xk)
+            return float(-np.cos(xk - peaks[k]) - (xk - peaks[k]) ** 2)
+
+        xs, fs = _golden_scalar(g, float(a[k]), float(b[k]))
+        assert (x[k], fx[k]) == (xs, fs)
+        assert visited[k] == alone
+    assert len({len(v) for v in visited}) == len(peaks)  # different steps
+
+
+def test_locate_sup_batch_matches_per_radius():
+    radii = np.linspace(0.05, 0.95, 19)
+    batch = locate_sup(radii)
+    assert len(batch) == len(radii)
+    for r, res in zip(radii, batch):
+        one = locate_sup(float(r))
+        for got, want in zip(res, one):
+            assert abs(got - want) <= 2.0 * np.spacing(want), (r, res, one)
+
+
+def test_locate_sup_batch_other_dimension_is_exact():
+    radii = np.array([0.2, 0.5, 0.8])
+    batch = locate_sup(radii, n=3, grid_points=48)
+    assert batch == [locate_sup(float(r), n=3, grid_points=48) for r in radii]
+
+
+def _peaked_profile(peaks, calls):
+    """A stand-in for _c_closed_arr that peaks at peaks[r] and records the
+    number of radii of each call."""
+    def profile(r, z):
+        calls.append(np.size(r))
+        peak = np.vectorize(peaks.get)(np.asarray(r))
+        return 1.0 / (1.0 + (z - peak) ** 2)
+    return profile
+
+
+def test_locate_sup_widens_only_the_rows_that_need_it(monkeypatch):
+    """One radius peaks past the first window [0, 6]: only its seed grid
+    is recomputed on [0, 12], and every radius ends where it would alone."""
+    peaks = {0.3: 0.5, 0.5: 9.0, 0.7: 2.0}
+    calls = []
+    monkeypatch.setattr(proofcheck, "_c_closed_arr", _peaked_profile(peaks, calls))
+    batch = locate_sup(np.array(list(peaks)))
+    assert calls[:2] == [3, 1]
+    for (r, peak), res in zip(peaks.items(), batch):
+        assert res.z_star == pytest.approx(peak, rel=1e-6)
+        assert res == locate_sup(r)
+
+
+def test_locate_sup_runaway_window_names_the_radius(monkeypatch):
+    monkeypatch.setattr(proofcheck, "_c_closed_arr",
+                        _peaked_profile({0.3: 0.5, 0.5: 1e9}, []))
+    with pytest.raises(EvaluationError, match=r"C\(\., 0\.5\) keeps running"):
+        locate_sup(np.array([0.3, 0.5]))
+
+
+@pytest.mark.parametrize("r,named", [(0.0, "0.0"), (1.0, "1.0"), (1.5, "1.5"),
+                                     (-0.2, "-0.2"), (math.nan, "nan"),
+                                     (np.array([0.3, 1.0, 0.5]), "1.0")])
+def test_locate_sup_rejects_radii_outside_the_ball(monkeypatch, r, named):
+    def unreachable(*args):
+        raise AssertionError("evaluated before the radii were checked")
+
+    monkeypatch.setattr(proofcheck, "_c_closed_arr", unreachable)
+    with pytest.raises(ValueError, match=f"got {re.escape(named)}$"):
+        locate_sup(r)
+
+
+def test_verify_sup_makes_few_closed_form_calls(monkeypatch, capsys):
+    calls = []
+    original = closedform4._c_closed_arr
+
+    def counted(r, z):
+        calls.append(1)
+        return original(r, z)
+
+    monkeypatch.setattr(closedform4, "_c_closed_arr", counted)
+    monkeypatch.setattr(proofcheck, "_c_closed_arr", counted)
+    assert main(["verify", "sup", "--json", "--no-timing"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["reports"]) == 19
+    assert 0 < len(calls) <= 40
 
 
 def test_conjecture_report_flat_disk():
