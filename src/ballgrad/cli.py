@@ -53,6 +53,16 @@ _TOL_KEYS = {
     "lemmas": "inequalities",
     "oracle": "oracle_vs_closed",
 }
+#: verify options that only some suites read: dest -> (those suites, the
+#: default they get).  The parser leaves them None, so that one given to
+#: any other suite is a usage error.
+_SUITE_OPTIONS = {
+    "tol": (tuple(_TOL_KEYS), None),
+    "r_steps": (("sup", "conjecture"), 19),
+    "theta_steps": (("conjecture",), 50),
+    "method": (("conjecture", "oracle"), "product-gauss"),
+    "samples": (("conjecture", "oracle"), 200_000),
+}
 
 
 @dataclass(frozen=True)
@@ -245,7 +255,12 @@ def _sup_reports(args):
 
 
 def _oracle_reports(args, tol):
+    """The oracle self-tests.  The oracle's values are judged against
+    the known constants by fixed tolerances under the product rule, and
+    under Monte Carlo within proofcheck._MC_FLAT_SIGMAS of their standard
+    errors, which each report records as its tolerance."""
     sq = _sphere_quadrature(args)
+    sigmas = proofcheck._MC_FLAT_SIGMAS if sq.method == "monte_carlo" else None
     reports = []
 
     dev = max(abs(kernel_mass(r, args.n) - 1.0) for r in (0.0, 0.3, 0.6, 0.9))
@@ -276,36 +291,55 @@ def _oracle_reports(args, tol):
         passed=bool(worst_fd <= 1e-8), seed=args.seed, method="central_fd",
         note="analytic kernel gradient against finite differences"))
 
-    v, _ = directional_constant_with_error(DirectionalQuery(2, 0.0, 0.0), sq)
+    v, se = directional_constant_with_error(DirectionalQuery(2, 0.0, 0.0), sq)
     dev2 = abs(v - 4.0 / math.pi)
+    tol2 = 1e-8 if sigmas is None else sigmas * se
     reports.append(proofcheck.VerificationReport(
         case_name="disk_center", sample_desc="n=2, r=0, theta=0",
-        worst_violation=dev2, worst_location=(), tolerance=1e-8,
-        passed=dev2 <= 1e-8, seed=args.seed, method=sq.method,
+        worst_violation=dev2, worst_location=(), tolerance=tol2,
+        passed=dev2 <= tol2, seed=args.seed, method=sq.method,
         note="classical disk constant 4/pi at the center"))
 
-    worst_cmp = 0.0
-    where = ()
+    # (relative deviation, its tolerance, r); the worst exceeds its
+    # tolerance by the most
+    cases = []
     for r in (0.1, 0.3, 0.5, 0.7, 0.9):
-        v, _ = directional_constant_with_error(DirectionalQuery(4, r, 0.0), sq)
-        d = abs(v - gradient_bound(r)) / gradient_bound(r)
-        if d > worst_cmp:
-            worst_cmp, where = d, (r,)
+        v, se = directional_constant_with_error(DirectionalQuery(4, r, 0.0), sq)
+        ref = gradient_bound(r)
+        cases.append((abs(v - ref) / ref,
+                      tol if sigmas is None else sigmas * se / ref, r))
+    worst_cmp, tol_cmp, r = max(cases, key=lambda c: c[0] - c[1])
     reports.append(proofcheck.VerificationReport(
         case_name="oracle_vs_closed_n4", sample_desc="r in {0.1,...,0.9}",
-        worst_violation=worst_cmp, worst_location=where, tolerance=tol,
-        passed=worst_cmp <= tol, seed=args.seed, method=sq.method,
+        worst_violation=worst_cmp, worst_location=(r,), tolerance=tol_cmp,
+        passed=worst_cmp <= tol_cmp, seed=args.seed, method=sq.method,
         note="spherical quadrature against the closed-form bound"))
     return reports
 
 
+def _suite_options(args):
+    """Give each suite option its default, or reject it where given to a
+    suite that does not read it."""
+    misplaced = []
+    for dest, (suites, default) in _SUITE_OPTIONS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.suite not in suites:
+            misplaced.append(f"--{dest.replace('_', '-')} is read by "
+                             f"verify {'/'.join(suites)} only")
+    if misplaced:
+        raise UsageError(f"{'; '.join(misplaced)}, not by verify {args.suite}")
+
+
 def cmd_verify(args, argv):
     t0 = time.perf_counter()
+    _suite_options(args)
     tols = dict(_DEFAULT_TOLS)
     if args.tol is not None:
-        if args.suite not in _TOL_KEYS:
-            raise UsageError(f"--tol applies to the {', '.join(_TOL_KEYS)} "
-                             f"suites, not to {args.suite}")
+        if args.method == "monte-carlo":
+            raise UsageError("--tol sets the product-rule tolerance; under "
+                             "--method monte-carlo verify oracle is judged "
+                             "by the standard error")
         tols[_TOL_KEYS[args.suite]] = args.tol
     if args.suite in ("identities", "lemmas") and args.n != 4:
         raise UsageError(f"verify {args.suite} checks n = 4 only, "
@@ -377,6 +411,16 @@ def cmd_oracle(args, argv):
 # parser plumbing
 # ---------------------------------------------------------------------------
 
+def _oracle_options(method, samples):
+    """Parent parser of the sphere-quadrature options, with these defaults."""
+    opts = argparse.ArgumentParser(add_help=False)
+    opts.add_argument("--method", choices=["product-gauss", "monte-carlo"],
+                      default=method)
+    opts.add_argument("--samples", type=_int_at_least(2), default=samples,
+                      help="Monte Carlo sample count")
+    return opts
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -387,11 +431,13 @@ def build_parser():
     common.add_argument("--seed", type=_int_at_least(0), default=_DEFAULT_SEED)
 
     # sphere quadrature: commands that query the Poisson oracle
-    oracle_opts = argparse.ArgumentParser(add_help=False)
-    oracle_opts.add_argument("--method", choices=["product-gauss", "monte-carlo"],
-                             default="product-gauss")
-    oracle_opts.add_argument("--samples", type=_int_at_least(2), default=200_000,
-                             help="Monte Carlo sample count")
+    oracle_opts = _oracle_options(_SUITE_OPTIONS["method"][1],
+                                  _SUITE_OPTIONS["samples"][1])
+    # the options that only some verify suites read: left None here,
+    # cmd_verify gives them their defaults
+    suite_opts = _oracle_options(None, None)
+    suite_opts.add_argument("--r-steps", type=_int_at_least(1), default=None)
+    suite_opts.add_argument("--theta-steps", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="ballgrad",
@@ -417,7 +463,7 @@ def build_parser():
     p.add_argument("--z-max", type=float, default=10.0)
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("verify", parents=[common, oracle_opts],
+    p = sub.add_parser("verify", parents=[common, suite_opts],
                        help="verification suites")
     p.add_argument("suite", choices=["identities", "lemmas", "sup",
                                      "conjecture", "oracle"])
@@ -425,8 +471,6 @@ def build_parser():
                    help="override the suite's default tolerance "
                         f"({', '.join(_TOL_KEYS)} suites)")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--r-steps", type=_int_at_least(1), default=19)
-    p.add_argument("--theta-steps", type=int, default=50)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", parents=[common, oracle_opts],
@@ -436,11 +480,9 @@ def build_parser():
     p.add_argument("--theta", type=float, default=0.0)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("sweep", parents=[common, oracle_opts],
+    p = sub.add_parser("sweep", parents=[common, suite_opts],
                        help="direction-profile sweep (verify conjecture)")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--r-steps", type=_int_at_least(1), default=19)
-    p.add_argument("--theta-steps", type=int, default=50)
     p.set_defaults(func=cmd_verify, suite="conjecture", tol=None)
 
     return parser

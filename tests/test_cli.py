@@ -218,6 +218,34 @@ def test_verify_oracle_json(capsys):
     assert all(r["passed"] is True for r in reports)
 
 
+def test_verify_oracle_monte_carlo_judged_by_standard_errors(capsys):
+    code, out, _ = run_cli(capsys, "verify", "oracle", "--method",
+                           "monte-carlo", "--json", "--no-timing")
+    assert code == 0
+    reports = {r["case_name"]: r for r in json.loads(out)["reports"]}
+    for name in ("disk_center", "oracle_vs_closed_n4"):
+        assert 1e-6 < reports[name]["tolerance"] < 1e-1
+        assert reports[name]["passed"] is True
+
+
+def test_verify_oracle_failed_monte_carlo_check_exits_one(capsys,
+                                                          monkeypatch):
+    """Eight standard errors off: more than the allowance of four, even
+    after the sample's own error."""
+    original = poisson_oracle._mc_constant
+
+    def tilted(q, sq):
+        value, stderr = original(q, sq)
+        return value + 8.0 * stderr, stderr
+
+    monkeypatch.setattr(poisson_oracle, "_mc_constant", tilted)
+    code, out, _ = run_cli(capsys, "verify", "oracle", "--method",
+                           "monte-carlo", "--samples", "20000")
+    assert code == 1
+    assert [l.split()[0] for l in out.strip().splitlines()] == [
+        "PASS", "PASS", "FAIL", "FAIL"]
+
+
 def test_verify_conjecture_small_grid(capsys):
     code, out, _ = run_cli(capsys, "verify", "conjecture", "--n", "4",
                            "--r-steps", "2", "--theta-steps", "5")
@@ -324,11 +352,30 @@ def test_verify_tol_recorded_under_the_key_it_overrides(capsys, suite, key):
     ("oracle", "--r", "0.5", "--samples", "0"),
     ("oracle", "--r", "0.5", "--method", "monte-carlo", "--samples", "1"),
     ("verify", "oracle", "--seed", "-1"),
+    ("verify", "sup", "--theta-steps", "1"),
+    ("verify", "identities", "--r-steps", "3"),
+    ("verify", "oracle", "--r-steps", "3"),
+    ("verify", "lemmas", "--method", "monte-carlo"),
+    ("verify", "sup", "--samples", "5"),
+    ("verify", "lemmas", "--method", "monte-carlo", "--samples", "5"),
+    ("verify", "oracle", "--method", "monte-carlo", "--tol", "0.5"),
 ])
 def test_options_rejected_where_nothing_reads_them(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert argv[-2] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("identities",), ("lemmas",), ("sup",), ("oracle",),
+    ("conjecture", "--n", "4", "--r-steps", "1", "--theta-steps", "50"),
+])
+def test_every_suite_takes_the_output_options(capsys, tmp_path, argv):
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", *argv, "--json", "--seed", "7",
+                         "--no-timing", "--out", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["manifest"]["seed"] == 7
 
 
 def test_verify_byte_determinism(capsys):

@@ -7,6 +7,7 @@ against an implementation that shares no code with it.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -148,6 +149,60 @@ def test_monte_carlo_reproducible_and_consistent():
     exact = directional_constant(q, SQ)
     assert s1 > 0.0
     assert abs(v1 - exact) < 5.0 * s1
+
+
+def _one_shot_mc_columns(n, samples, seed):
+    """The Monte Carlo draw as one (samples, n) array, normalized by
+    np.linalg.norm: zeta_n and zeta_1 of the sample."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    zeta = rng.standard_normal((samples, n))
+    zeta /= np.linalg.norm(zeta, axis=1, keepdims=True)
+    return zeta[:, n - 1], zeta[:, 0]
+
+
+@pytest.mark.parametrize("samples", [2, 1000, poisson_oracle._BLOCK,
+                                     poisson_oracle._BLOCK + 1, 200_003])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_monte_carlo_blocks_equal_the_one_shot_draw(n, samples):
+    """Drawn and evaluated in row blocks, the estimate and its standard
+    error equal the one-shot formula's bit for bit."""
+    sq = SphereQuadrature(method="monte_carlo", samples=samples)
+    polar, lateral = _one_shot_mc_columns(n, samples, sq.seed)
+    for r in (0.0, 0.5, 0.95):
+        for theta in (0.0, 0.3, math.pi / 2):
+            g = np.abs(grad_dot_batch(polar, lateral, 1.0, r, n,
+                                      math.cos(theta), math.sin(theta)))
+            expected = (float(np.mean(g)),
+                        float(np.std(g, ddof=1) / math.sqrt(samples)))
+            got = directional_constant_with_error(
+                DirectionalQuery(n, r, theta), sq)
+            assert got == expected, (r, theta)
+
+
+def test_monte_carlo_sample_drawn_once_per_sweep():
+    """Every angle of a Monte Carlo profile reads one cached sample."""
+    poisson_oracle._mc_sample.cache_clear()
+    sq = SphereQuadrature(method="monte_carlo", samples=20_000, seed=3)
+    best_direction(4, 0.5, np.linspace(0.0, math.pi / 2, 9), sq)
+    info = poisson_oracle._mc_sample.cache_info()
+    assert (info.misses, info.hits) == (1, 8)
+    polar, lateral = poisson_oracle._mc_sample(4, 20_000, 3)
+    assert not polar.flags.writeable and not lateral.flags.writeable
+
+
+def test_monte_carlo_query_memory_peak():
+    """A 200k-sample query, its draw included, holds the cached sample
+    (16 bytes per point), the |F| array and one block's temporaries."""
+    poisson_oracle._mc_sample.cache_clear()
+    q = DirectionalQuery(4, 0.5, 0.3)
+    sq = SphereQuadrature(method="monte_carlo", samples=200_000)
+    tracemalloc.start()
+    try:
+        directional_constant_with_error(q, sq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_product_rule_error_proxy():
