@@ -8,6 +8,11 @@ Subcommands::
     oracle     one direct spherical-quadrature query
     sweep      direction-profile sweep over a radius grid (verify conjecture)
 
+Each command, and each verify suite, has its own argparse parser, which
+takes only the options it reads and checks their bounds in their types;
+options follow the suite name (``verify sup --r-steps 5``).  The parser
+is built once per process, on the first call of ``main``.
+
 Exit codes: 0 pass, 1 verified violation, 2 usage error, 3 numerical
 failure.  All numbers print with 17 significant digits so text output
 round-trips through the JSON reports.  JSON output is byte-identical
@@ -16,6 +21,7 @@ with --no-timing.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -52,16 +58,6 @@ _TOL_KEYS = {
     "identities": "identities",
     "lemmas": "inequalities",
     "oracle": "oracle_vs_closed",
-}
-#: verify options that only some suites read: dest -> (those suites, the
-#: default they get).  The parser leaves them None, so that one given to
-#: any other suite is a usage error.
-_SUITE_OPTIONS = {
-    "tol": (tuple(_TOL_KEYS), None),
-    "r_steps": (("sup", "conjecture"), 19),
-    "theta_steps": (("conjecture",), 50),
-    "method": (("conjecture", "oracle"), "product-gauss"),
-    "samples": (("conjecture", "oracle"), 200_000),
 }
 
 
@@ -127,9 +123,17 @@ def _int_at_least(least):
     return int_at_least
 
 
-def _check_n(n, least):
-    if n < least:
-        raise UsageError(f"--n must be >= {least}, got {n}")
+def _finite_float(positive):
+    """argparse type: a finite float, > 0 if ``positive``, else >= 0."""
+    def finite_float(text):
+        value = float(text)
+        if not (math.isfinite(value) and (value > 0.0 if positive
+                                          else value >= 0.0)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {'>' if positive else '>='} 0, "
+                f"got {text}")
+        return value
+    return finite_float
 
 
 def _sphere_quadrature(args):
@@ -146,7 +150,6 @@ def cmd_constant(args, argv):
     r, n = args.r, args.n
     if not (0.0 <= r <= 1.0):
         raise UsageError(f"--r must lie in [0, 1], got {r}")
-    _check_n(n, 2)
 
     if n == 4:
         fc = frak_c(r)
@@ -195,14 +198,9 @@ _RADIAL_QUANTITIES = {
 
 def cmd_curve(args, argv):
     t0 = time.perf_counter()
-    if args.steps < 2:
-        raise UsageError("--steps must be >= 2 (empty or degenerate range)")
-
     if args.quantity == "c_of_z":
         if not (0.0 < args.r < 1.0):
             raise UsageError("c_of_z needs --r strictly inside (0, 1)")
-        if args.z_max <= 0.0:
-            raise UsageError("--z-max must be positive")
         grid = np.linspace(0.0, args.z_max, args.steps)
         values = _c_closed_arr(args.r, grid)
         header = "z,value"
@@ -317,34 +315,15 @@ def _oracle_reports(args, tol):
     return reports
 
 
-def _suite_options(args):
-    """Give each suite option its default, or reject it where given to a
-    suite that does not read it."""
-    misplaced = []
-    for dest, (suites, default) in _SUITE_OPTIONS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif args.suite not in suites:
-            misplaced.append(f"--{dest.replace('_', '-')} is read by "
-                             f"verify {'/'.join(suites)} only")
-    if misplaced:
-        raise UsageError(f"{'; '.join(misplaced)}, not by verify {args.suite}")
-
-
 def cmd_verify(args, argv):
     t0 = time.perf_counter()
-    _suite_options(args)
     tols = dict(_DEFAULT_TOLS)
-    if args.tol is not None:
-        if args.method == "monte-carlo":
+    if args.suite in _TOL_KEYS and args.tol is not None:
+        if args.suite == "oracle" and args.method == "monte-carlo":
             raise UsageError("--tol sets the product-rule tolerance; under "
                              "--method monte-carlo verify oracle is judged "
                              "by the standard error")
         tols[_TOL_KEYS[args.suite]] = args.tol
-    if args.suite in ("identities", "lemmas") and args.n != 4:
-        raise UsageError(f"verify {args.suite} checks n = 4 only, "
-                         f"got --n {args.n}")
-    _check_n(args.n, 3 if args.suite == "sup" else 2)
 
     if args.suite == "identities":
         reports = proofcheck.run_identity_suite(tolerance=tols["identities"])
@@ -356,9 +335,6 @@ def cmd_verify(args, argv):
         reports = _sup_reports(args)
         tags = ["golden_section"]
     elif args.suite == "conjecture":
-        if args.theta_steps < 2:
-            raise UsageError("--theta-steps must be >= 2 (theta = 0 against "
-                             f"at least one other angle), got {args.theta_steps}")
         sq = _sphere_quadrature(args)
         r_grid = np.linspace(0.05, 0.95, args.r_steps)
         theta_grid = np.linspace(0.0, math.pi / 2.0, args.theta_steps)
@@ -392,7 +368,6 @@ def cmd_oracle(args, argv):
         raise UsageError(f"--r must lie in [0, 1), got {args.r}")
     if not (0.0 <= args.theta <= math.pi / 2.0):
         raise UsageError(f"--theta must lie in [0, pi/2], got {args.theta}")
-    _check_n(args.n, 2)
     sq = _sphere_quadrature(args)
     q = DirectionalQuery(n=args.n, r=args.r, theta=args.theta)
     value, err = directional_constant_with_error(q, sq)
@@ -408,20 +383,12 @@ def cmd_oracle(args, argv):
 
 
 # ---------------------------------------------------------------------------
-# parser plumbing
+# parser
 # ---------------------------------------------------------------------------
 
-def _oracle_options(method, samples):
-    """Parent parser of the sphere-quadrature options, with these defaults."""
-    opts = argparse.ArgumentParser(add_help=False)
-    opts.add_argument("--method", choices=["product-gauss", "monte-carlo"],
-                      default=method)
-    opts.add_argument("--samples", type=_int_at_least(2), default=samples,
-                      help="Monte Carlo sample count")
-    return opts
-
-
+@functools.cache
 def build_parser():
+    """The ``ballgrad`` parser: built on first use, then shared."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit the JSON report instead of text")
@@ -431,59 +398,78 @@ def build_parser():
     common.add_argument("--seed", type=_int_at_least(0), default=_DEFAULT_SEED)
 
     # sphere quadrature: commands that query the Poisson oracle
-    oracle_opts = _oracle_options(_SUITE_OPTIONS["method"][1],
-                                  _SUITE_OPTIONS["samples"][1])
-    # the options that only some verify suites read: left None here,
-    # cmd_verify gives them their defaults
-    suite_opts = _oracle_options(None, None)
-    suite_opts.add_argument("--r-steps", type=_int_at_least(1), default=None)
-    suite_opts.add_argument("--theta-steps", type=int, default=None)
+    quadrature = argparse.ArgumentParser(add_help=False)
+    quadrature.add_argument("--method", choices=["product-gauss", "monte-carlo"],
+                            default="product-gauss")
+    quadrature.add_argument("--samples", type=_int_at_least(2), default=200_000,
+                            help="Monte Carlo sample count")
+    radii = argparse.ArgumentParser(add_help=False)
+    radii.add_argument("--r-steps", type=_int_at_least(1), default=19,
+                       help="radii in [0.05, 0.95]")
+    angles = argparse.ArgumentParser(add_help=False)
+    angles.add_argument("--theta-steps", type=_int_at_least(2), default=50,
+                        help="angles in [0, pi/2]: theta = 0 and at least "
+                             "one other")
 
-    parser = argparse.ArgumentParser(
+    # options are spelled in full: abbreviated, `curve --n 5` would parse
+    # as --no-timing
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict(
         prog="ballgrad",
         description="Sharp gradient bounds for bounded harmonic functions "
                     "on the unit ball, with full numerical verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=strict)
 
     p = sub.add_parser("constant", parents=[common],
                        help="sharp constants at one radius")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_int_at_least(2), default=4)
     p.set_defaults(func=cmd_constant)
 
     p = sub.add_parser("curve", parents=[common], help="CSV curve output")
     p.add_argument("--quantity",
                    choices=sorted(_RADIAL_QUANTITIES) + ["c_of_z"],
                    default="frak_c")
-    p.add_argument("--steps", type=int, default=101)
+    p.add_argument("--steps", type=_int_at_least(2), default=101)
     p.add_argument("--r-min", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=1.0)
     p.add_argument("--r", type=float, default=0.5,
                    help="fixed radius for the c_of_z profile")
-    p.add_argument("--z-max", type=float, default=10.0)
+    p.add_argument("--z-max", type=_finite_float(positive=True), default=10.0)
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("verify", parents=[common, suite_opts],
-                       help="verification suites")
-    p.add_argument("suite", choices=["identities", "lemmas", "sup",
-                                     "conjecture", "oracle"])
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the suite's default tolerance "
-                        f"({', '.join(_TOL_KEYS)} suites)")
-    p.add_argument("--n", type=int, default=4)
-    p.set_defaults(func=cmd_verify)
+    p = sub.add_parser("verify", help="verification suites")
+    suites = p.add_subparsers(dest="suite", required=True, parser_class=strict)
+    # the identity and lemma registries are the n = 4 closed forms
+    only_4 = {"type": int, "choices": [4]}
+    for suite, parents, n_kwargs in (
+            ("identities", [], only_4),
+            ("lemmas", [], only_4),
+            ("sup", [radii], {"type": _int_at_least(3)}),
+            ("conjecture", [quadrature, radii, angles],
+             {"type": _int_at_least(2)}),
+            ("oracle", [quadrature], {"type": _int_at_least(2)})):
+        p = suites.add_parser(suite, parents=[common, *parents])
+        p.add_argument("--n", default=4, **n_kwargs)
+        if suite in _TOL_KEYS:
+            key = _TOL_KEYS[suite]
+            p.add_argument("--tol", type=_finite_float(positive=False),
+                           help=f"override the {key} tolerance "
+                                f"({_DEFAULT_TOLS[key]:g})")
+        p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", parents=[common, oracle_opts],
+    p = sub.add_parser("oracle", parents=[common, quadrature],
                        help="one spherical-quadrature query")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_int_at_least(2), default=4)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--theta", type=float, default=0.0)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("sweep", parents=[common, suite_opts],
+    p = sub.add_parser("sweep", parents=[common, quadrature, radii, angles],
                        help="direction-profile sweep (verify conjecture)")
-    p.add_argument("--n", type=int, default=4)
-    p.set_defaults(func=cmd_verify, suite="conjecture", tol=None)
+    p.add_argument("--n", type=_int_at_least(2), default=4)
+    p.set_defaults(func=cmd_verify, suite="conjecture")
 
     return parser
 

@@ -2,13 +2,15 @@
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ballgrad import poisson_oracle
-from ballgrad.cli import _DEFAULT_TOLS, main
+from ballgrad.cli import _DEFAULT_TOLS, build_parser, main
 from ballgrad.closedform4 import (c_at_zero, frak_c, gradient_bound,
                                   sharp_constant_report)
 from test_kernelint import C_N3_REF
@@ -359,11 +361,34 @@ def test_verify_tol_recorded_under_the_key_it_overrides(capsys, suite, key):
     ("verify", "sup", "--samples", "5"),
     ("verify", "lemmas", "--method", "monte-carlo", "--samples", "5"),
     ("verify", "oracle", "--method", "monte-carlo", "--tol", "0.5"),
+    ("verify", "lemmas", "--tol", "nan"),
+    ("verify", "lemmas", "--tol", "-1"),
+    ("curve", "--quantity", "c_of_z", "--z-max", "nan"),
+    ("curve", "--quantity", "c_of_z", "--z-max", "inf"),
+    ("curve", "--n", "5"),
+    ("verify", "--json", "identities"),
 ])
 def test_options_rejected_where_nothing_reads_them(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert argv[-2] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "identities", "--n", "4", "--tol", "1e-7"),
+    ("verify", "lemmas", "--n", "4", "--tol", "1e-12"),
+    ("verify", "sup", "--n", "3", "--r-steps", "1"),
+    ("verify", "conjecture", "--n", "2", "--method", "monte-carlo",
+     "--samples", "20000", "--r-steps", "1", "--theta-steps", "2"),
+    ("verify", "oracle", "--n", "3", "--tol", "1e-6",
+     "--method", "product-gauss", "--samples", "100"),
+    ("verify", "oracle", "--method", "monte-carlo", "--samples", "20000"),
+    ("sweep", "--n", "3", "--method", "product-gauss", "--samples", "100",
+     "--r-steps", "1", "--theta-steps", "2"),
+])
+def test_each_suite_takes_the_options_it_reads(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -434,6 +459,17 @@ def test_sweep_disk(capsys):
 
 
 # ---- console entry point --------------------------------------------------
+
+
+def test_readme_command_lines_parse():
+    """Every command in README's command-line block parses as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = [shlex.split(line, comments=True)
+             for line in block.split("```", 1)[0].splitlines()]
+    assert len(lines) >= 10 and all(w[0] == "ballgrad" for w in lines)
+    for words in lines:
+        build_parser().parse_args(words[1:])
 
 
 def test_installed_script_help():
