@@ -5,6 +5,10 @@ returns a new array.  Callers reach this module through
 :func:`ballgrad.backend.get_backend`.
 """
 
+import sys
+
+import numpy as np
+
 BACKEND_NAME = "python"
 
 
@@ -40,3 +44,32 @@ def grad_dot_batch(cphi, sphi, u, r, n, ct, st):
     xz_v = xv - (cphi * ct + sphi * u * st)
     return -2.0 * xv / rho2 ** (n / 2.0) \
         - n * (1.0 - r * r) * xz_v / rho2 ** (n / 2.0 + 1.0)
+
+
+def polar_integrand_batch(sphi, alpha, beta, rho2, n):
+    """|<grad P, v>| integrated over the azimuth, at polar nodes.
+
+    At the nodes with polar sines ``sphi``, rho^(n+2) <grad P, v> is
+    alpha + beta*u in the azimuthal cosine u, beta >= 0, and ``rho2`` is
+    rho^2.  Returns J sphi^(n-2) / rho2^(n/2+1), with J the integral of
+    |alpha + beta u| (1-u^2)^((n-4)/2) over [-1, 1] (for n = 2, the sum
+    over u = +/-1).  With t = -alpha/beta clipped to [-1, 1],
+    J = -2 (alpha V(t) + beta W(t)), two terms >= 0, where
+    W(t) = -(1-t^2)^((n-2)/2)/(n-2) and V(t), the weight's integral over
+    [0, t], rises from arcsin t (odd n) or t (even n) to m = (n-4)/2 by
+    V_m = (t (1-t^2)^m + 2m V_(m-1)) / (2m+1).  The arrays broadcast.
+    """
+    if n == 2:
+        moment = 2.0 * np.maximum(np.abs(alpha), beta)
+    else:
+        # |alpha| >= beta (no sign change in u) gives t = -sign(alpha),
+        # and J = 2 |alpha| V(1); the floor puts alpha = beta = 0 at t = 0
+        t = -alpha / np.maximum(np.maximum(np.abs(alpha), beta),
+                                 sys.float_info.min)
+        s = (1.0 - t) * (1.0 + t)
+        v, m = (np.arcsin(t), -0.5) if n % 2 else (t, 0.0)
+        while m < (n - 4) / 2.0:
+            m += 1.0
+            v = (t * s ** m + 2.0 * m * v) / (2.0 * m + 1.0)
+        moment = 2.0 * (beta * s ** (n / 2.0 - 1.0) / (n - 2) - alpha * v)
+    return moment * sphi ** (n - 2) / rho2 ** (n / 2.0 + 1.0)

@@ -7,26 +7,23 @@ derivative of the Poisson kernel,
     C(x, v) = integral over S^(n-1) of |<grad_x P(x, zeta), v>| dsigma,
 
 with sigma the NORMALIZED surface measure.  By rotational symmetry the
-query is canonicalized to x = r*e_n, v = cos(theta)*e_n + sin(theta)*e_1,
-and the (n-3)-sphere factor is integrated analytically, leaving a 2-D
-product quadrature (or plain Monte Carlo).
+query is canonicalized to x = r*e_n, v = cos(theta)*e_n + sin(theta)*e_1.
+At zeta_n = cos(phi), zeta_1 = sin(phi) u the sign factor
+rho^(n+2) <grad P, v> is alpha(phi) + beta(phi) u, linear in u, so the
+integral over the azimuthal cosine u is elementary (the kernel
+``polar_integrand_batch``; the closed form is Kalaj's, arXiv:1601.03347)
+and a product-rule query is one polar integral, in one kernel call.
 
-The integrand has a kink where <grad P, v> changes sign.  Along each
-azimuthal node the sign factor is a constant plus one sinusoid in the
-polar angle, positive at the pole e_n and negative at -e_n, so it
-changes sign exactly once, at a closed-form angle; the product rule
-splits the polar interval there into two pieces, which restores
-high-order convergence.  A query makes one kernel call per piece, over
-every (azimuthal node, polar node), with the Gauss rules built once per
-node count and cached.
-
-Every product-rule query goes through that one polar integrator; for
-theta = pi/2 the integrand is |u| times a function of the polar angle,
-so the azimuthal rule is one node, u = 1, with the exact |u| moment.
-
-The Gauss rules come from ``roots_gegenbauer``, in numpy: Golub-Welsch
-nodes polished by Newton steps, with weights within 1e-13 relative of
-40-digit rules, and the Chebyshev rules (n = 3 and 5) in closed form.
+The polar integrand changes form where |alpha| = beta, at two
+closed-form kinks.  The interval [0, pi] is split there and at
+phi = (1-r) 4^k, which grade the pieces toward the peak of width about
+1 - r at e_n, and each piece takes ``nodes_polar`` Gauss-Legendre nodes
+from ``roots_legendre`` (Golub-Welsch in numpy, weights within 1e-13
+relative of 40-digit rules).  For odd n the integrand has half-integer
+powers of the distance to a kink, so each piece is mapped by
+phi = a + (b-a)(3s^2 - 2s^3).  With alpha and rho^2 formed from
+sin^2(phi/2), nothing cancels near the pole, and at theta = 0 the query
+keeps its accuracy up to r = 0.99999.
 
 Monte Carlo draws its Philox normals in blocks of _BLOCK whole rows and
 keeps of each row only the two coordinates the kernel reads, zeta_n and
@@ -75,16 +72,16 @@ class DirectionalQuery:
 @dataclass(frozen=True)
 class SphereQuadrature:
     method: str = "product_gauss"
-    nodes_polar: int = 96
-    nodes_azimuthal: int = 64
+    #: Gauss-Legendre nodes per piece of the polar interval
+    nodes_polar: int = 48
     samples: int = 200_000
     seed: int = 20220417
 
     def __post_init__(self):
         if self.method not in ("product_gauss", "monte_carlo"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.nodes_polar < 2 or self.nodes_azimuthal < 1:
-            raise ValueError("node counts too small")
+        if self.nodes_polar < 2:
+            raise ValueError("node count too small")
         if self.samples < 2:
             raise ValueError("need at least 2 samples")
 
@@ -136,28 +133,16 @@ def _recurrence(x, b):
     return q, dq, total, dtotal
 
 
-def roots_gegenbauer(m, alpha):
-    """m-point Gauss rule for the weight (1-x^2)^(alpha-1/2) on [-1, 1],
-    alpha >= 0 (Legendre: alpha = 1/2), nodes ascending.
+def roots_legendre(m):
+    """m-point Gauss-Legendre rule on [-1, 1], nodes ascending.
 
-    alpha = 0 and 1 are the Chebyshev rules of the first and second
-    kind, in closed form.  Otherwise (Golub and Welsch, Math. Comp. 23,
-    1969) the nodes are the eigenvalues of the symmetric Jacobi matrix J,
-    taken from J^2 and polished by three Newton steps on the orthonormal
-    recurrence, and each weight is mu_0 / sum_k q_k(x)^2 with mu_0 the
-    total mass.
+    Golub and Welsch (Math. Comp. 23, 1969): the nodes are the
+    eigenvalues of the symmetric Jacobi matrix J, taken from J^2 and
+    polished by three Newton steps on the orthonormal recurrence, and
+    each weight is 2 / sum_k q_k(x)^2, 2 being the total mass.
     """
-    j = np.arange(1 - m, m, 2)
-    if alpha == 0:
-        return np.sin(math.pi * j / (2 * m)), np.full(m, math.pi / m)
-    if alpha == 1:
-        # x_k = cos(k pi/(m+1)), w_k = pi/(m+1) sin^2(k pi/(m+1)), the
-        # sine taken at min(k, m+1-k): accurate at both ends, and symmetric
-        k = np.minimum(np.arange(m, 0, -1), np.arange(1, m + 1))
-        return (np.sin(math.pi * j / (2 * (m + 1))),
-                math.pi / (m + 1) * np.sin(math.pi * k / (m + 1)) ** 2)
     k = np.arange(1.0, m + 1)
-    b = np.sqrt(k * (k + 2 * alpha - 1) / (4 * (k + alpha) * (k + alpha - 1)))
+    b = k / np.sqrt(4.0 * k * k - 1.0)
     # the Jacobi matrix J has a zero diagonal, so J^2 couples only rows of
     # one parity: its even-row block, half the size, has the eigenvalues
     # x^2 of the nodes x >= 0, and the rule comes out exactly symmetric
@@ -175,94 +160,70 @@ def roots_gegenbauer(m, alpha):
     # the sum of q_k^2 taken to first order at the root x - step, not at
     # the iterate: near the ends it moves by about m^2 ulps per ulp of x
     total -= 2.0 * step * dtotal
-    mu0 = math.sqrt(math.pi) * math.gamma(alpha + 0.5) / math.gamma(alpha + 1)
-    return x, mu0 / total
+    return x, 2.0 / total
 
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(m):
     """Cached m-point Gauss-Legendre rule on [-1, 1], as read-only arrays."""
-    return _read_only(*roots_gegenbauer(m, 0.5))
+    return _read_only(*roots_legendre(m))
 
 
 @functools.lru_cache(maxsize=None)
-def _azimuthal_rule(n, m):
-    """Cached Gauss rule for the weight (1-u^2)^((n-4)/2) on [-1, 1], as
-    read-only arrays."""
-    if n == 4:
-        return _gauss_legendre(m)
-    return _read_only(*roots_gegenbauer(m, (n - 3) / 2.0))
+def _piece_rule(m, smooth_ends):
+    """Cached m-point Gauss-Legendre rule on [0, 1], as read-only arrays;
+    with ``smooth_ends`` mapped by s -> 3s^2 - 2s^3, which makes an
+    endpoint singularity (phi - a)^(k/2) smooth in s."""
+    x, w = _gauss_legendre(m)
+    s, w = 0.5 + 0.5 * x, 0.5 * w
+    if smooth_ends:
+        s, w = s * s * (3.0 - 2.0 * s), w * 6.0 * s * (1.0 - s)
+    return _read_only(s, w)
 
 
-def _kink_points(n, r, ct, st, u):
-    """The zero in (0, pi] of the sign factor of <grad P, v>, for each u.
-
-    rho^(n+2) * <grad P, v> = c0 + a1 cos(phi) + b1 sin(phi)
-                            = c0 + R cos(phi - alpha),
-    with R = hypot(a1, b1) and alpha = atan2(b1, a1).  For theta < pi/2
-    it is ct (1-r)^2 (n(1+r) - 2r) > 0 at phi = 0 and
-    -ct (1+r)^2 (2r + n(1-r)) < 0 at phi = pi, so each half-meridian
-    crosses the kink set once, at alpha + acos(-c0/R): c0 <= 0 <= a1, and
-    the sign at phi = 0 puts the other root alpha - acos(-c0/R) below 0.
-    R > 0 on every query: a1 > 0 when ct > 0, and the tangential rule has
-    u = st = 1, where the zero is exactly pi.  Returns shape (len(u),).
-    """
-    u = np.asarray(u, dtype=float)
-    c0 = -2.0 * r * (1.0 + r * r) * ct - n * (1.0 - r * r) * r * ct
-    a1 = (4.0 * r * r + n * (1.0 - r * r)) * ct
-    b1 = n * (1.0 - r * r) * u * st
-    R = np.hypot(a1, b1)
-    phi = np.arctan2(b1, a1) + np.arccos(np.clip(-c0 / R, -1.0, 1.0))
-    return np.clip(phi, 0.0, math.pi)
+def _sign_factor(n, r, ct, st):
+    """(alpha0, a1, B): the sign factor rho^(n+2) <grad P, v> is
+    alpha + beta u with alpha = alpha0 - 2 a1 sin^2(phi/2) and
+    beta = B sin(phi); alpha0 is its value at phi = 0."""
+    return (ct * (1.0 - r) ** 2 * (n * (1.0 + r) - 2.0 * r),
+            ct * (4.0 * r * r + n * (1.0 - r) * (1.0 + r)),
+            n * (1.0 - r) * (1.0 + r) * st)
 
 
-def _polar_integrals(n, r, ct, st, u, nodes):
-    """integral over [0, pi] of |F(phi, u)| sin^(n-2)(phi) dphi, for each u,
-    as an array of shape (len(u), 2): one column per piece.
-
-    The polar interval is split at the kink into the pieces [0, phi*]
-    and [phi*, pi], and the kernel is evaluated once per piece on all
-    (u, node) points.  Both pieces at once would peak at about 0.9 MB of
-    temporaries at the default rule, near glibc's heap trim threshold,
-    so whether each query gave the heap top back and page-faulted it in
-    again (about 60 % slower) would depend on the process's heap layout.
-    A piece at a time peaks at about 0.5 MB.
-    """
-    u = np.asarray(u, dtype=float)
-    xg, wg = _gauss_legendre(nodes)
-    kink = _kink_points(n, r, ct, st, u)
-    kern = backend.get_backend()
-    pieces = np.empty((u.size, 2))
-    for j, (a, b) in enumerate([(0.0, kink), (kink, math.pi)]):
-        half = 0.5 * (b - a)
-        phi = (0.5 * (a + b))[:, None] + half[:, None] * xg
-        sphi = np.sin(phi)
-        F = kern.grad_dot_batch(np.cos(phi), sphi, u[:, None], r, n, ct, st)
-        pieces[:, j] = half * np.sum(np.abs(F) * sphi ** (n - 2) * wg, axis=-1)
-    return pieces
+def _kink_points(n, r, ct, st):
+    """The zeros in [0, pi] of the sign factor at u = -1 and u = +1, where
+    |alpha| = beta.  With -south = alpha0 - 2 a1 < 0 its value at phi = pi
+    (ct > 0), tau = tan(phi/2) is the positive root of
+    south tau^2 - 2 B u tau - alpha0 = 0: alpha0 / (d + B) for u = -1 and
+    (B + d) / south for u = +1, d = sqrt(B^2 + alpha0 south), neither of
+    which cancels."""
+    alpha0, a1, B = _sign_factor(n, r, ct, st)
+    south = 2.0 * a1 - alpha0
+    d = math.sqrt(B * B + alpha0 * south)
+    return 2.0 * math.atan2(alpha0, d + B), 2.0 * math.atan2(B + d, south)
 
 
 def _product_constant(q, sq):
+    """The exact-azimuth query: one polar integral, in one kernel call."""
     n, r = q.n, q.r
-    ct, st = math.cos(q.theta), math.sin(q.theta)
-    if n == 2:
-        # the residual sphere S^0 is the pair u = +/-1
-        uj, wj = np.array([1.0, -1.0]), np.ones(2)
-        scale = 1.0 / (2.0 * math.pi)
-    else:
-        scale = sphere_area(n - 2) / sphere_area(n)
-        if abs(ct) < 1e-12:
-            # purely tangential: |F| is |u| times a function of phi; one
-            # node u = 1 with the exact moment 2/(n-2) of |u| replaces a
-            # Gauss rule that cannot resolve the kink of |u| at u = 0
-            ct, st = 0.0, 1.0
-            uj, wj = np.ones(1), np.array([2.0 / (n - 2)])
-        else:
-            uj, wj = _azimuthal_rule(n, sq.nodes_azimuthal)
-    pieces = _polar_integrals(n, r, ct, st, uj, sq.nodes_polar)
+    # C(x, v) = C(x, -v): fold a last-bit negative cosine at pi/2
+    ct, st = abs(math.cos(q.theta)), math.sin(q.theta)
+    # (1 - r) 4^k below pi; 30 terms reach past pi from 1 - r = 2^-53
+    grades = [g for g in ((1.0 - r) * 4.0 ** k for k in range(30)) if g < math.pi]
+    ends = np.array(sorted({0.0, math.pi, *_kink_points(n, r, ct, st), *grades}))
+    s, w = _piece_rule(sq.nodes_polar, n % 2 == 1)
+    width = np.diff(ends)
+    phi = ends[:-1, None] + width[:, None] * s
+    h2 = np.sin(0.5 * phi) ** 2
+    sphi = np.sin(phi)
+    alpha0, a1, B = _sign_factor(n, r, ct, st)
+    kern = backend.get_backend()
+    f = kern.polar_integrand_batch(sphi, alpha0 - 2.0 * a1 * h2, B * sphi,
+                                   (1.0 - r) ** 2 + 4.0 * r * h2, n)
+    scale = 0.5 / math.pi if n == 2 else sphere_area(n - 2) / sphere_area(n)
     # correctly rounded total: last-bit changes of the query (theta from
     # directional_constant_vector) then leave the answer bit-equal more often
-    return scale * math.fsum((wj[:, None] * pieces).ravel())
+    return scale * math.fsum((width * (f @ w)).tolist())
 
 
 @functools.lru_cache(maxsize=1)
@@ -309,7 +270,6 @@ def _error_proxy(q, sq, value):
     ``sq``: its node-halving delta."""
     coarse = SphereQuadrature(method="product_gauss",
                               nodes_polar=max(2, sq.nodes_polar // 2),
-                              nodes_azimuthal=max(1, sq.nodes_azimuthal // 2),
                               samples=sq.samples, seed=sq.seed)
     return abs(value - _product_constant(q, coarse))
 
@@ -398,14 +358,9 @@ def best_direction(n, r, theta_grid, sq=SphereQuadrature()):
 
 
 def extremal_check(n, r, sq=SphereQuadrature()):
-    """Directional derivative attained by the extremal boundary data.
-
-    The boundary data sign<grad P, e_n> attains the normal-direction
-    constant: its integral against <grad P, e_n> is the integral of
-    |<grad P, e_n>|.  On the quadrature nodes F sign(F) equals |F| bit
-    for bit, so this is the theta = 0 product-rule query, whatever
-    ``sq.method`` says.
-    """
+    """The theta = 0 query under the product rule, whatever ``sq.method``
+    says: the boundary data sign<grad P, e_n> attains the normal-direction
+    constant, the integral of |<grad P, e_n>|."""
     return _product_constant(DirectionalQuery(n=n, r=r, theta=0.0), sq)
 
 

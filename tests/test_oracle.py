@@ -3,7 +3,9 @@
 Every frozen number here was produced by a separate 30+ digit mpmath
 evaluation of the same surface integral (with the polar kink located and
 split by bisection), so the fast product-rule path is being compared
-against an implementation that shares no code with it.
+against an implementation that shares no code with it.  The 2-D product
+rule below, from the kernel that Monte Carlo samples, is a second
+reference that shares none of the exact azimuthal integral's derivation.
 """
 
 import math
@@ -22,13 +24,13 @@ from ballgrad import (
     gradient_bound,
     halfspace_constant,
 )
-from ballgrad import poisson_oracle
+from ballgrad import _kernels_py, poisson_oracle
 from ballgrad._kernels_py import grad_dot_batch
-from ballgrad.kernelint import ParamSet, QuadratureSpec, c_numeric
+from ballgrad.kernelint import ParamSet, QuadratureSpec, c_numeric, sphere_area
 from ballgrad.poisson_oracle import (
-    _azimuthal_rule,
     _gauss_legendre,
     _kink_points,
+    _piece_rule,
     best_direction,
     directional_constant,
     directional_constant_vector,
@@ -48,7 +50,7 @@ ORACLE_REF = {
     (3, 0.4, 0.0): 1.7935816213552350638227338867536,
     (3, 0.4, math.pi / 3): 1.7607544025925640342095414907021,
     (5, 0.5, 0.0): 2.4494075287311971817956267226803,
-    # exactly tangential: the azimuthal |u| moment is integrated exactly
+    # exactly tangential
     (4, 0.3, math.pi / 2): 1.8315272510435661107038431669,
     (4, 0.5, math.pi / 2): 2.14593690038751695251873933055,
     (3, 0.5, math.pi / 2): 1.93537502252050327406198004259,
@@ -79,20 +81,34 @@ def test_radial_direction_matches_quadrature(n):
     assert abs(got - val / (1.0 - r)) / got < 1e-9
 
 
+@pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])
+def test_radial_direction_near_the_sphere(r):
+    """theta = 0 up to 1e-4 from the sphere: the graded pieces resolve the
+    peak at e_n, and alpha and rho^2 formed from sin^2(phi/2) do not
+    cancel (with alpha = c0 + a1 cos(phi) the error at 0.9999 was 2.5e-9)."""
+    got = directional_constant(DirectionalQuery(4, r, 0.0), SQ)
+    assert abs(got - gradient_bound(r)) / gradient_bound(r) < 1e-12
+
+
 def test_radial_boundary_limit_is_halfspace_constant():
     """Near the sphere (1 - r) C tends to the n = 4 half-space constant.
 
-    Linear extrapolation in s = 1 - r from r = 0.98 and 0.99 to s = 0;
-    the limit is frak_c(1)/2 = 3 sqrt(3)/(2 pi), so frak_c(1) = 3 sqrt(3)/pi.
+    Quadratic extrapolation in s = 1 - r from s = 1e-4, 2e-4 and 4e-4 to
+    s = 0; the limit is frak_c(1)/2 = 3 sqrt(3)/(2 pi), so
+    frak_c(1) = 3 sqrt(3)/pi.
     """
-    s1, s2 = 0.01, 0.02
-    f1 = s1 * directional_constant(DirectionalQuery(4, 1.0 - s1, 0.0), SQ)
-    f2 = s2 * directional_constant(DirectionalQuery(4, 1.0 - s2, 0.0), SQ)
-    limit = (s2 * f1 - s1 * f2) / (s2 - s1)
-    assert abs(limit - halfspace_constant(4)) < 1e-4
+    s1, s2, s3 = 1e-4, 2e-4, 4e-4
+    f1, f2, f3 = (s * directional_constant(DirectionalQuery(4, 1.0 - s, 0.0), SQ)
+                  for s in (s1, s2, s3))
+    limit = (f1 * s2 * s3 / ((s1 - s2) * (s1 - s3))
+             + f2 * s1 * s3 / ((s2 - s1) * (s2 - s3))
+             + f3 * s1 * s2 / ((s3 - s1) * (s3 - s2)))
+    assert abs(limit - halfspace_constant(4)) < 1e-11
+
 
 def test_near_tangential_continuity():
-    """The exact-moment tangential path must join the generic path."""
+    """The tangential query joins its neighbours: its kinks sit at the
+    poles, and a last-bit negative cos(theta) folds to C(x, -v)."""
     a = directional_constant(DirectionalQuery(4, 0.5, math.pi / 2), SQ)
     b = directional_constant(DirectionalQuery(4, 0.5, math.pi / 2 - 1e-5), SQ)
     assert abs(a - b) < 1e-3
@@ -298,20 +314,16 @@ def _sign_factor(n, r, ct, st, u, cphi, sphi):
 @pytest.mark.parametrize("r", [0.0, 0.05, 0.5, 0.95])
 @pytest.mark.parametrize("theta", [1e-3, math.pi / 4, math.pi / 2 - 1e-5])
 def test_kink_points_are_the_sign_changes(n, r, theta):
-    """One closed-form kink per u: the zero of the sign factor, and the
-    only sign change a dense scan of [0, pi] finds, between the poles'
-    values of opposite sign.  The one-node tangential rule (ct = 0,
-    st = 1, u = 1) has its kink at exactly pi."""
-    assert _kink_points(n, r, 0.0, 1.0, np.ones(1)).tolist() == [math.pi]
+    """One closed-form kink at u = -1 and one at u = +1: the zero of the
+    sign factor, and the only sign change a dense scan of [0, pi] finds,
+    between the poles' values of opposite sign."""
     ct, st = math.cos(theta), math.sin(theta)
-    us = np.array([-1.0, 0.0, 0.3, 1.0])
-    kinks = _kink_points(n, r, ct, st, us)
-    assert kinks.shape == (4,)
-    assert np.all((kinks > 0.0) & (kinks < math.pi))
+    kinks = _kink_points(n, r, ct, st)
+    assert 0.0 < kinks[0] < kinks[1] < math.pi
     north = ct * (1.0 - r) ** 2 * (n * (1.0 + r) - 2.0 * r)
     south = -ct * (1.0 + r) ** 2 * (2.0 * r + n * (1.0 - r))
     scan = np.linspace(0.0, math.pi, 4097)
-    for u, kink in zip(us, kinks):
+    for u, kink in zip((-1.0, 1.0), kinks):
         g = _sign_factor(n, r, ct, st, u, np.cos(scan), np.sin(scan))
         scale = np.max(np.abs(g))
         at_kink = _sign_factor(n, r, ct, st, u, math.cos(kink), math.sin(kink))
@@ -323,14 +335,84 @@ def test_kink_points_are_the_sign_changes(n, r, theta):
         assert abs(poles[1] - south) <= 1e-12 * abs(south)
 
 
+def _product_rule(n, r, theta, m_polar=96, m_az=64):
+    """The 2-D product rule: for each azimuthal cosine u = cos(psi), the
+    polar integral of |grad_dot_batch| split at its one kink (where
+    c0 + a1 cos(phi) + b1 sin(phi) = 0), then integrated in psi, split at
+    pi/2 where |u| kinks in the tangential direction.  numpy's Gauss rules,
+    and no exact azimuthal integral."""
+    ct, st = math.cos(theta), math.sin(theta)
+    xg, wg = np.polynomial.legendre.leggauss(m_polar)
+    if n == 2:
+        u, wu, scale = np.array([1.0, -1.0]), np.ones(2), 0.5 / math.pi
+    else:
+        xa, wa = np.polynomial.legendre.leggauss(m_az)
+        psi = np.concatenate((math.pi / 4 * (1 + xa), math.pi / 4 * (3 + xa)))
+        u = np.cos(psi)
+        wu = np.tile(math.pi / 4 * wa, 2) * np.sin(psi) ** (n - 3)
+        scale = sphere_area(n - 2) / sphere_area(n)
+    c0 = -r * ct * (2.0 * (1.0 + r * r) + n * (1.0 - r * r))
+    a1 = ct * (4.0 * r * r + n * (1.0 - r * r))
+    b1 = n * (1.0 - r * r) * st * u
+    R = np.hypot(a1, b1)
+    kink = np.clip(np.arctan2(b1, a1) + np.arccos(np.clip(-c0 / R, -1.0, 1.0)),
+                   0.0, math.pi)
+    total = 0.0
+    for a, b in ((np.zeros_like(kink), kink), (kink, np.full_like(kink, math.pi))):
+        half = 0.5 * (b - a)
+        phi = (0.5 * (a + b))[:, None] + half[:, None] * xg
+        F = grad_dot_batch(np.cos(phi), np.sin(phi), u[:, None], r, n, ct, st)
+        total += wu @ (half * (np.abs(F) * np.sin(phi) ** (n - 2) @ wg))
+    return scale * total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.9])
+def test_exact_azimuth_matches_the_product_rule(n, r):
+    """The one-dimensional query against the 2-D product rule, whose
+    derivation it does not share."""
+    for theta in (0.0, 0.3, 0.7, 1.4, math.pi / 2):
+        got = directional_constant(DirectionalQuery(n, r, theta), SQ)
+        ref = _product_rule(n, r, theta)
+        assert abs(got - ref) / ref < 1e-13, theta
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("r", [0.3, 0.9, 0.99, 0.9999])
+def test_odd_dimension_pieces_converge(n, r):
+    """For odd n the polar integrand has half-integer powers of the
+    distance to a kink; mapped to smooth ends, 24 nodes per piece agree
+    with 200."""
+    for theta in (0.3, 0.7, 1.4):
+        q = DirectionalQuery(n, r, theta)
+        coarse = directional_constant(q, SphereQuadrature(nodes_polar=24))
+        fine = directional_constant(q, SphereQuadrature(nodes_polar=200))
+        assert abs(coarse - fine) / fine < 1e-14, theta
+
+
+def test_product_query_makes_one_kernel_call(monkeypatch):
+    """A product-rule query is one polar integral: one kernel call over
+    every piece, and no call of the Monte Carlo kernel."""
+    calls = []
+    for name in ("polar_integrand_batch", "grad_dot_batch"):
+        def counted(*args, _name=name, _original=getattr(_kernels_py, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(_kernels_py, name, counted)
+    for n in (2, 3, 4):
+        calls.clear()
+        directional_constant(DirectionalQuery(n, 0.9999, 0.7), SQ)
+        assert calls == ["polar_integrand_batch"]
+
+
 def test_gauss_rules_cached_read_only():
-    rules = [_gauss_legendre(96)] + [_azimuthal_rule(n, 64) for n in (3, 4, 5, 6)]
+    rules = [_gauss_legendre(96), _piece_rule(48, False), _piece_rule(48, True)]
     for x, w in rules:
         assert not x.flags.writeable and not w.flags.writeable
         with pytest.raises(ValueError):
             w[0] = 0.0
     assert _gauss_legendre(96) is rules[0]
-    assert _azimuthal_rule(4, 64) is rules[2]
+    assert _piece_rule(48, True) is rules[2]
 
 
 def _mp_gegenbauer_rule(m, alpha, x0):
@@ -369,45 +451,21 @@ def _mp_gegenbauer_rule(m, alpha, x0):
     return nodes, weights, steps
 
 
-@pytest.mark.parametrize("rule,alpha", [
-    *[(lambda m=m: _gauss_legendre(m), 0.5) for m in (32, 48, 64, 96, 128)],
-    (lambda: _azimuthal_rule(6, 128), 1.5),  # weight (1-u^2)
-    (lambda: _azimuthal_rule(7, 64), 2.0),   # weight (1-u^2)^1.5
-], ids=["legendre32", "legendre48", "legendre64", "legendre96", "legendre128",
-        "n6_m128", "n7_m64"])
-def test_gauss_rules_match_40_digit_rules(rule, alpha):
+@pytest.mark.parametrize("m", [32, 48, 64, 96, 128], ids="legendre{}".format)
+def test_gauss_rules_match_40_digit_rules(m):
     """Nodes within 2e-16 and weights within 1e-13 relative of a 40-digit
     rule.  Its nodes are m distinct roots, so the rule has all of them."""
-    x, w = rule()
-    m = len(x)
+    x, w = _gauss_legendre(m)
     assert np.all(np.diff(x) > 0.0)
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
     with mpmath.workdps(40):
-        nodes, weights, steps = _mp_gegenbauer_rule(m, alpha, x)
+        nodes, weights, steps = _mp_gegenbauer_rule(m, 0.5, x)
         assert max(abs(s) for s in steps) < 1e-25
         assert all(b > a for a, b in zip(nodes, nodes[1:]))
         node_err = max(abs(xi - ref) for xi, ref in zip(x, nodes))
         weight_err = max(abs(wi / ref - 1) for wi, ref in zip(w, weights))
     assert node_err <= 2e-16
     assert weight_err <= 1e-13
-
-
-@pytest.mark.parametrize("m", [1, 2, 7, 64])
-def test_chebyshev_rules_are_the_closed_forms(m):
-    """n = 3 and n = 5 take the Chebyshev rules of the first and second
-    kind: x = cos((2k-1) pi/(2m)), w = pi/m, and x = cos(k pi/(m+1)),
-    w = pi/(m+1) sin^2(k pi/(m+1)), checked at 40 digits."""
-    mp = mpmath.mp
-    with mpmath.workdps(40):
-        k = range(m, 0, -1)  # ascending nodes
-        first = ([mp.cos((2 * j - 1) * mp.pi / (2 * m)) for j in k],
-                 [mp.pi / m] * m)
-        second = ([mp.cos(j * mp.pi / (m + 1)) for j in k],
-                  [mp.pi / (m + 1) * mp.sin(j * mp.pi / (m + 1)) ** 2 for j in k])
-        for n, (nodes, weights) in ((3, first), (5, second)):
-            x, w = _azimuthal_rule(n, m)
-            assert max(abs(xi - ref) for xi, ref in zip(x, nodes)) <= 2e-16
-            assert max(abs(wi / ref - 1) for wi, ref in zip(w, weights)) <= 1e-13
 
 
 @pytest.mark.parametrize("n,r,sq", [
