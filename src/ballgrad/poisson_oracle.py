@@ -13,6 +13,9 @@ rho^(n+2) <grad P, v> is alpha(phi) + beta(phi) u, linear in u, so the
 integral over the azimuthal cosine u is elementary (the kernel
 ``polar_integrand_batch``; the closed form is Kalaj's, arXiv:1601.03347)
 and a product-rule query is one polar integral, in one kernel call.
+The query is array-native in theta: for one (n, r) every angle of a
+direction profile has the same number of pieces, and the profile is one
+kernel call; a single query is its one-angle case.
 
 The polar integrand changes form where |alpha| = beta, at two
 closed-form kinks.  The interval [0, pi] is split there and at
@@ -51,6 +54,18 @@ _KERNEL_MASS_NODES = 200
 _BLOCK = 1 << 14
 
 
+def _validate(n, r, thetas):
+    """Raise the ValueError of the first bad argument of the queries
+    (n, r, theta) for theta in ``thetas``."""
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ValueError(f"dimension must be an integer >= 2, got {n}")
+    if not (0.0 <= r < 1.0):
+        raise ValueError(f"r must lie in [0, 1), got {r}")
+    for theta in thetas:
+        if not (0.0 <= theta <= math.pi / 2.0 + 1e-15):
+            raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+
+
 @dataclass(frozen=True)
 class DirectionalQuery:
     """Dimension, radius of the canonical evaluation point, and the angle
@@ -61,12 +76,7 @@ class DirectionalQuery:
     theta: float
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
-            raise ValueError(f"dimension must be an integer >= 2, got {self.n}")
-        if not (0.0 <= self.r < 1.0):
-            raise ValueError(f"r must lie in [0, 1), got {self.r}")
-        if not (0.0 <= self.theta <= math.pi / 2.0 + 1e-15):
-            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta}")
+        _validate(self.n, self.r, (self.theta,))
 
 
 @dataclass(frozen=True)
@@ -184,46 +194,84 @@ def _piece_rule(m, smooth_ends):
 def _sign_factor(n, r, ct, st):
     """(alpha0, a1, B): the sign factor rho^(n+2) <grad P, v> is
     alpha + beta u with alpha = alpha0 - 2 a1 sin^2(phi/2) and
-    beta = B sin(phi); alpha0 is its value at phi = 0."""
+    beta = B sin(phi); alpha0 is its value at phi = 0.  Elementwise in
+    the cosines ``ct`` and sines ``st`` of the angles."""
     return (ct * (1.0 - r) ** 2 * (n * (1.0 + r) - 2.0 * r),
             ct * (4.0 * r * r + n * (1.0 - r) * (1.0 + r)),
             n * (1.0 - r) * (1.0 + r) * st)
 
 
-def _kink_points(n, r, ct, st):
-    """The zeros in [0, pi] of the sign factor at u = -1 and u = +1, where
-    |alpha| = beta.  With -south = alpha0 - 2 a1 < 0 its value at phi = pi
-    (ct > 0), tau = tan(phi/2) is the positive root of
+#: math.atan2 as a ufunc: numpy's own arctan2 may take a SIMD path that is
+#: not correctly rounded (on AVX-512 it differs from libm in the last bit
+#: for about 7% of arguments), and a kink one ulp off moves every node
+#: of its two pieces
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def _kink_points(alpha0, a1, B):
+    """The zeros in [0, pi] of the sign factor (alpha0, a1, B) at u = -1
+    and u = +1, where |alpha| = beta, stacked on a new first axis.  With
+    -south = alpha0 - 2 a1 < 0 its value at phi = pi (ct > 0),
+    tau = tan(phi/2) is the positive root of
     south tau^2 - 2 B u tau - alpha0 = 0: alpha0 / (d + B) for u = -1 and
     (B + d) / south for u = +1, d = sqrt(B^2 + alpha0 south), neither of
-    which cancels."""
-    alpha0, a1, B = _sign_factor(n, r, ct, st)
+    which cancels.  At ct = 0 they sit at the poles."""
     south = 2.0 * a1 - alpha0
-    d = math.sqrt(B * B + alpha0 * south)
-    return 2.0 * math.atan2(alpha0, d + B), 2.0 * math.atan2(B + d, south)
+    dB = np.sqrt(B * B + alpha0 * south) + B
+    return 2.0 * _atan2((alpha0, dB), (dB, south)).astype(float)
 
 
-def _product_constant(q, sq):
-    """The exact-azimuth query: one polar integral, in one kernel call."""
-    n, r = q.n, q.r
+def _polar_pieces(n, r, thetas):
+    """The pieces of the exact-azimuth query at every angle of ``thetas``
+    for one (n, r): (alpha0, a1, B, ends), each angle's sign factor and,
+    in its row of ``ends``, its piece ends.
+
+    Each angle's polar interval is split at 0, pi, its two kinks and the
+    grades (1 - r) 4^k < pi, which depend only on r, so every angle has
+    the same number of pieces; where two ends meet (the kinks at
+    theta = 0, the poles at theta = pi/2) the piece has zero width and
+    adds exactly 0.
+    """
+    theta = np.asarray(thetas, dtype=float)
     # C(x, v) = C(x, -v): fold a last-bit negative cosine at pi/2
-    ct, st = abs(math.cos(q.theta)), math.sin(q.theta)
-    # (1 - r) 4^k below pi; 30 terms reach past pi from 1 - r = 2^-53
-    grades = [g for g in ((1.0 - r) * 4.0 ** k for k in range(30)) if g < math.pi]
-    ends = np.array(sorted({0.0, math.pi, *_kink_points(n, r, ct, st), *grades}))
-    s, w = _piece_rule(sq.nodes_polar, n % 2 == 1)
-    width = np.diff(ends)
-    phi = ends[:-1, None] + width[:, None] * s
+    sign = _sign_factor(n, r, np.abs(np.cos(theta)), np.sin(theta))
+    fixed = [0.0, math.pi]
+    grade = 1.0 - r  # (1 - r) 4^k below pi, the k-th grade
+    while grade < math.pi:
+        fixed.append(grade)
+        grade *= 4.0
+    ends = np.empty((theta.size, len(fixed) + 2))
+    ends[:, :2] = _kink_points(*sign).T
+    ends[:, 2:] = fixed
+    ends.sort(axis=1)
+    return (*sign, ends)
+
+
+def _polar_integrals(n, r, pieces, nodes_polar):
+    """C(x, v) at every angle of ``pieces`` (from _polar_pieces), with
+    ``nodes_polar`` nodes per piece: a list, from one kernel call.  An
+    angle's value does not depend on the others."""
+    alpha0, a1, B, ends = pieces
+    width = ends[:, 1:] - ends[:, :-1]
+    s, w = _piece_rule(nodes_polar, n % 2 == 1)
+    phi = ends[:, :-1, None] + width[..., None] * s
     h2 = np.sin(0.5 * phi) ** 2
     sphi = np.sin(phi)
-    alpha0, a1, B = _sign_factor(n, r, ct, st)
+    alpha0, a1, B = alpha0[:, None, None], a1[:, None, None], B[:, None, None]
     kern = backend.get_backend()
     f = kern.polar_integrand_batch(sphi, alpha0 - 2.0 * a1 * h2, B * sphi,
                                    (1.0 - r) ** 2 + 4.0 * r * h2, n)
     scale = 0.5 / math.pi if n == 2 else sphere_area(n - 2) / sphere_area(n)
-    # correctly rounded total: last-bit changes of the query (theta from
-    # directional_constant_vector) then leave the answer bit-equal more often
-    return scale * math.fsum((width * (f @ w)).tolist())
+    # one (pieces, nodes) product per angle, so an angle's sums are those of
+    # its own query; its correctly rounded total leaves last-bit changes of
+    # the query (theta from directional_constant_vector) bit-equal more often
+    return [scale * math.fsum(row) for row in (width * (f @ w)).tolist()]
+
+
+def _product_constant(q, sq):
+    """The exact-azimuth query: one polar integral, in one kernel call."""
+    pieces = _polar_pieces(q.n, q.r, (q.theta,))
+    return _polar_integrals(q.n, q.r, pieces, sq.nodes_polar)[0]
 
 
 @functools.lru_cache(maxsize=1)
@@ -265,13 +313,12 @@ def _mc_constant(q, sq):
     return value, stderr
 
 
-def _error_proxy(q, sq, value):
-    """Error measure of ``value``, the product-rule answer to ``q`` under
-    ``sq``: its node-halving delta."""
-    coarse = SphereQuadrature(method="product_gauss",
-                              nodes_polar=max(2, sq.nodes_polar // 2),
-                              samples=sq.samples, seed=sq.seed)
-    return abs(value - _product_constant(q, coarse))
+def _error_proxies(n, r, pieces, values, sq):
+    """Error measures of ``values``, the product-rule answers on
+    ``pieces`` under ``sq``: their node-halving deltas, from one kernel
+    call."""
+    coarse = _polar_integrals(n, r, pieces, max(2, sq.nodes_polar // 2))
+    return [abs(v - c) for v, c in zip(values, coarse)]
 
 
 def directional_constant(q, sq=SphereQuadrature()):
@@ -286,8 +333,9 @@ def directional_constant_with_error(q, sq=SphereQuadrature()):
     standard error, or the node-halving delta for the product rule."""
     if sq.method == "monte_carlo":
         return _mc_constant(q, sq)
-    value = _product_constant(q, sq)
-    return value, _error_proxy(q, sq, value)
+    pieces = _polar_pieces(q.n, q.r, (q.theta,))
+    values = _polar_integrals(q.n, q.r, pieces, sq.nodes_polar)
+    return values[0], _error_proxies(q.n, q.r, pieces, values, sq)[0]
 
 
 def directional_constant_vector(x, v, sq=SphereQuadrature()):
@@ -329,31 +377,32 @@ def best_direction(n, r, theta_grid, sq=SphereQuadrature()):
     quadrature error proxies at theta = 0 and at the argmax).
     """
     thetas = [float(t) for t in theta_grid]
-    if not thetas or min(thetas) < 0.0 or max(thetas) > math.pi / 2.0 + 1e-15:
-        raise ValueError("theta_grid must be a nonempty subset of [0, pi/2]")
+    if not thetas:
+        raise ValueError("theta_grid must be nonempty")
+    _validate(n, r, thetas)
     if 0.0 not in thetas:
         raise ValueError("theta_grid must contain 0")
     if sq.method == "monte_carlo":
         # one pass per angle: its standard error is kept for the allowance
-        runs = {t: _mc_constant(DirectionalQuery(n, r, t), sq) for t in thetas}
-        values = {t: v for t, (v, _) in runs.items()}
+        runs = [_mc_constant(DirectionalQuery(n, r, t), sq) for t in thetas]
+        values = [v for v, _ in runs]
     else:
-        values = {t: directional_constant(DirectionalQuery(n, r, t), sq)
-                  for t in thetas}
-    profile = tuple((t, values[t]) for t in thetas)
-    theta_star, _ = max(profile, key=lambda tv: tv[1])
-    value0 = values[0.0]
-
-    def error(t):
-        if sq.method == "monte_carlo":
-            return runs[t][1]
-        # reuses the profile value: only the coarse pass runs
-        return _error_proxy(DirectionalQuery(n, r, t), sq, values[t])
-
-    err = {t: error(t) for t in {0.0, theta_star}}
-    allowance = err[0.0] + err[theta_star] + 1e-9
-    violation = any(val > value0 + allowance for t, val in profile if t != 0.0)
-    return BestDirection(theta_star=theta_star, profile=profile,
+        pieces = _polar_pieces(n, r, thetas)
+        values = _polar_integrals(n, r, pieces, sq.nodes_polar)
+    profile = tuple(zip(thetas, values))
+    star = max(range(len(thetas)), key=values.__getitem__)
+    zero = thetas.index(0.0)
+    at = sorted({zero, star})
+    if sq.method == "monte_carlo":
+        errs = [runs[i][1] for i in at]
+    else:
+        # reuses the profile values: only the coarse pass runs
+        errs = _error_proxies(n, r, [a[at] for a in pieces],
+                              [values[i] for i in at], sq)
+    err = dict(zip(at, errs))
+    allowance = err[zero] + err[star] + 1e-9
+    violation = any(v > values[zero] + allowance for t, v in profile if t != 0.0)
+    return BestDirection(theta_star=thetas[star], profile=profile,
                          conjecture_violation=violation, allowance=allowance)
 
 

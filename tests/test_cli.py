@@ -248,6 +248,19 @@ def test_verify_oracle_failed_monte_carlo_check_exits_one(capsys,
         "PASS", "PASS", "FAIL", "FAIL"]
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known false failure: plain Monte Carlo understates its standard error "
+    "near the sphere, and at r = 0.9 a 1,000-sample estimate misses the "
+    "closed form by more than four of them (ROADMAP item 1)"))
+def test_verify_oracle_monte_carlo_small_sample_passes(capsys):
+    """Correct code passes the Monte Carlo oracle suite at the default
+    seed, whatever the sample count; at 1,000 samples it does not yet
+    (oracle_vs_closed_n4 reads worst=0.5326 against tol=0.2862)."""
+    code, out, _ = run_cli(capsys, "verify", "oracle", "--method",
+                           "monte-carlo", "--samples", "1000")
+    assert code == 0, out
+
+
 def test_verify_conjecture_small_grid(capsys):
     code, out, _ = run_cli(capsys, "verify", "conjecture", "--n", "4",
                            "--r-steps", "2", "--theta-steps", "5")

@@ -310,15 +310,25 @@ def _sign_factor(n, r, ct, st, u, cphi, sphi):
     return F * rho2 ** ((n + 2) / 2.0)
 
 
+KINK_THETAS = (1e-3, math.pi / 4, math.pi / 2 - 1e-5)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 @pytest.mark.parametrize("r", [0.0, 0.05, 0.5, 0.95])
-@pytest.mark.parametrize("theta", [1e-3, math.pi / 4, math.pi / 2 - 1e-5])
+@pytest.mark.parametrize("theta", KINK_THETAS)
 def test_kink_points_are_the_sign_changes(n, r, theta):
     """One closed-form kink at u = -1 and one at u = +1: the zero of the
     sign factor, and the only sign change a dense scan of [0, pi] finds,
-    between the poles' values of opposite sign."""
+    between the poles' values of opposite sign.  The kinks come from one
+    call on the array of angles, and equal a one-angle call's."""
     ct, st = math.cos(theta), math.sin(theta)
-    kinks = _kink_points(n, r, ct, st)
+    thetas = np.array(KINK_THETAS)
+    everyone = _kink_points(*poisson_oracle._sign_factor(
+        n, r, np.cos(thetas), np.sin(thetas)))
+    kinks = everyone[:, KINK_THETAS.index(theta)]
+    alone = _kink_points(*poisson_oracle._sign_factor(
+        n, r, np.array([ct]), np.array([st])))
+    assert np.array_equal(alone[:, 0], kinks)
     assert 0.0 < kinks[0] < kinks[1] < math.pi
     north = ct * (1.0 - r) ** 2 * (n * (1.0 + r) - 2.0 * r)
     south = -ct * (1.0 + r) ** 2 * (2.0 * r + n * (1.0 - r))
@@ -390,19 +400,73 @@ def test_odd_dimension_pieces_converge(n, r):
         assert abs(coarse - fine) / fine < 1e-14, theta
 
 
-def test_product_query_makes_one_kernel_call(monkeypatch):
-    """A product-rule query is one polar integral: one kernel call over
-    every piece, and no call of the Monte Carlo kernel."""
+def _count_kernel_calls(monkeypatch):
+    """Record, by name, every call of the two oracle kernels."""
     calls = []
     for name in ("polar_integrand_batch", "grad_dot_batch"):
         def counted(*args, _name=name, _original=getattr(_kernels_py, name)):
             calls.append(_name)
             return _original(*args)
         monkeypatch.setattr(_kernels_py, name, counted)
+    return calls
+
+
+def test_product_query_makes_one_kernel_call(monkeypatch):
+    """A product-rule query is one polar integral: one kernel call over
+    every piece, and no call of the Monte Carlo kernel."""
+    calls = _count_kernel_calls(monkeypatch)
     for n in (2, 3, 4):
         calls.clear()
         directional_constant(DirectionalQuery(n, 0.9999, 0.7), SQ)
         assert calls == ["polar_integrand_batch"]
+
+
+SWEEP_GRID = np.linspace(0.0, math.pi / 2, 50)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("r", [0.0, 0.05, 0.5, 0.9, 0.9999])
+def test_best_direction_profile_is_the_one_angle_queries(n, r):
+    """The batched profile, on a grid with theta = 0 (merged kinks) and
+    pi/2 (kinks at the poles), equals one query per angle bit for bit;
+    so does the allowance, from the one-angle error proxies."""
+    bd = best_direction(n, r, SWEEP_GRID, SQ)
+    assert SWEEP_GRID[0] == 0.0 and SWEEP_GRID[-1] == math.pi / 2
+    assert bd.profile == tuple(
+        (t, directional_constant(DirectionalQuery(n, r, t), SQ))
+        for t in SWEEP_GRID.tolist())
+    errs = [directional_constant_with_error(DirectionalQuery(n, r, t), SQ)[1]
+            for t in (0.0, bd.theta_star)]
+    assert bd.allowance == errs[0] + errs[1] + 1e-9
+
+
+def test_best_direction_makes_two_kernel_calls(monkeypatch):
+    """A product-rule profile is one kernel call over every angle, and its
+    error proxies at theta = 0 and the argmax one more."""
+    calls = _count_kernel_calls(monkeypatch)
+    best_direction(4, 0.05, SWEEP_GRID, SQ)
+    assert calls == ["polar_integrand_batch"] * 2
+
+
+@pytest.mark.parametrize("n,r,bad_theta", [
+    (1, 0.5, None), (2.5, 0.5, None),
+    (4, -0.1, None), (4, 1.0, None),
+    (4, 0.5, -1e-3), (4, 0.5, math.pi / 2 + 1e-12),
+])
+@pytest.mark.parametrize("sq", [SQ, SphereQuadrature(method="monte_carlo",
+                                                     samples=1_000)],
+                         ids=["product", "monte_carlo"])
+def test_best_direction_validates_like_a_query(monkeypatch, n, r, bad_theta, sq):
+    """A bad dimension, radius or angle raises the ValueError that
+    DirectionalQuery raises for it, before any kernel call."""
+    theta = 0.3 if bad_theta is None else bad_theta
+    with pytest.raises(ValueError) as expected:
+        DirectionalQuery(n, r, theta)
+    calls = _count_kernel_calls(monkeypatch)
+    with pytest.raises(ValueError) as got:
+        best_direction(n, r, [0.0, 0.3, theta], sq)
+    assert str(got.value) == str(expected.value)
+    assert calls == []
 
 
 def test_gauss_rules_cached_read_only():
