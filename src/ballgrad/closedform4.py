@@ -13,13 +13,15 @@ array of their broadcast shape.  The public n = 4 functions are thin
 scalar wrappers: they validate their arguments (through ``EvalPoint`` or a
 range check), call the array form and return floats.  The verification
 registries in ``proofcheck`` call the array forms on whole grids and
-samples at once.
+samples at once.  The components h1, h2 and h3 are also computed one at
+a time, by ``_h1`` / ``_h2`` / ``_h3`` from the terms ``_c_terms`` shares
+among them.
 
 Removable singularities (0/0 of order r^3 at r=0, and of order z at z=0
 inside h1) are served by truncated series branches below the thresholds
-``SERIES_R_THRESHOLD`` / ``SERIES_Z_THRESHOLD``, selected per element
-with ``np.where``; the discarded branch is evaluated at a harmless
-substitute point wherever it would otherwise divide by zero.  The
+``SERIES_R_THRESHOLD`` / ``SERIES_Z_THRESHOLD``, merged per element with
+``np.where`` and evaluated only when some element takes them; the direct
+form divides by a harmless substitute wherever it would be 0/0.  The
 series coefficients were derived symbolically offline and are validated
 against high-precision evaluation in the test suite.  An internal sanity
 check that fails raises with the first offending (r, z) in its message.
@@ -77,7 +79,8 @@ def _sqrt_s(r, z):
 def _atan_den(r, z):
     # (2 - r^2)^2 + 4 (1 - r^2) z^2 -- strictly positive for r < 1,
     # so the arctan terms never need a quadrant correction.
-    d = (2.0 - r * r) ** 2 + 4.0 * (1.0 - r * r) * z * z
+    r2 = r * r
+    d = (2.0 - r2) ** 2 + 4.0 * (1.0 - r2) * z * z
     _require(d > 0.0, EvaluationError, "arctan denominator lost positivity", r, z)
     return d
 
@@ -123,37 +126,60 @@ def psi_closed(p, sign=1):
     return float(_psi_closed_arr(p.r, sign * p.z))
 
 
-def _h1_quotient(r, z):
-    # L(z) / (2 (1-r^2) z), continued to z = 0 below SERIES_Z_THRESHOLD by
-    # the limit r sqrt(4-r^2)/(2(1-r^2)) plus the z^2 correction term
-    r2 = r * r
-    near = z < SERIES_Z_THRESHOLD
+def _series_where(near, series, direct):
+    # direct, with series() where near holds; the series is evaluated only
+    # when some element takes it
+    return np.where(near, series(), direct) if np.any(near) else direct
+
+
+def _h1_series(r, r2, z):
+    # the z -> 0 limit r sqrt(4-r^2)/(2(1-r^2)) plus the z^2 correction term
     s0 = np.sqrt(4.0 - r2)
     c2 = r * (-2.0 / s0 + r2 * (28.0 - 27.0 * r ** 2 + 9.0 * r ** 4 - r ** 6)
               / (3.0 * s0 ** 3))
-    series = (r * s0 + z * z * c2) / (2.0 * (1.0 - r2))
-    zd = np.where(near, 1.0, z)  # the direct form is 0/0 at z = 0
-    direct = _envelope_L_arr(r, zd) / (2.0 * (1.0 - r2) * zd)
-    return np.where(near, series, direct)
+    return (r * s0 + z * z * c2) / (2.0 * (1.0 - r2))
 
 
-def _c_components_arr(r, z):
-    """The components (h1, h2, h3) of the directional constant, elementwise."""
+def _c_terms(r, z):
+    # r and z as float arrays, and the terms h1, h2 and h3 share: r^2, s
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
-    r2 = r * r
-    s = _sqrt_s(r, z)
+    return r, z, r * r, _sqrt_s(r, z)
+
+
+def _h1(r, z, r2, s):
+    # L(z) / (2 (1-r^2) z) is continued to z = 0 below SERIES_Z_THRESHOLD
+    near = z < SERIES_Z_THRESHOLD
+    zd = np.where(near, 1.0, z)  # the direct form is 0/0 at z = 0
+    c = 2.0 * (1.0 - r2)
+    quotient = _series_where(near, lambda: _h1_series(r, r2, z),
+                             _envelope_L(r, z, r2, s) / (c * zd))
+    return r * (1.0 + r2) * s / c + quotient
+
+
+def _h2(r, z, r2, s):
     den = _atan_den(r, z)
+    rz2 = 2.0 * r * z
+    q = (2.0 - r2) * s
+    return np.arctan(r * (rz2 - q) / den) - np.arctan(r * (rz2 + q) / den)
 
-    h1 = r * (1.0 + r2) * s / (2.0 * (1.0 - r2)) + _h1_quotient(r, z)
-    h2 = np.arctan(r * (2.0 * r * z - (2.0 - r2) * s) / den) \
-        - np.arctan(r * (2.0 * r * z + (2.0 - r2) * s) / den)
 
+def _h3(r, z, r2, s):
     a3 = r * z * s / (1.0 + (1.0 + r2) * z * z)
     _require(np.abs(a3) < 1.0, ValueError,
              "inverse-tanh argument left (-1, 1) in h3", r, z)
-    h3 = 0.5 * (r2 - 1.0) * z * np.arctanh(a3)
-    return h1, h2, h3
+    return 0.5 * (r2 - 1.0) * z * np.arctanh(a3)
+
+
+def _c_components_arr(r, z):
+    """The components (h1, h2, h3) of the directional constant, elementwise.
+
+    Each component is ``_h<k>(*_c_terms(r, z))`` on its own; h2 goes
+    first so that the arctan denominator is checked before L and h3.
+    """
+    terms = _c_terms(r, z)
+    h2 = _h2(*terms)
+    return _h1(*terms), h2, _h3(*terms)
 
 
 def c_components(p):
@@ -187,7 +213,7 @@ def _c_closed_arr(r, z):
         warnings.warn(f"r={float(np.min(r))} below series threshold; "
                       "using series branch", SeriesBranchWarning, stacklevel=2)
     h1, h2, h3 = _c_components_arr(r, z)
-    hsum = np.where(near, _hsum_series(r, z), h1 + h2 + h3)
+    hsum = _series_where(near, lambda: _hsum_series(r, z), h1 + h2 + h3)
     return 2.0 * (1.0 - r) / (math.pi * r ** 3 * np.sqrt(1.0 + z * z)) * hsum
 
 
@@ -199,9 +225,13 @@ def c_closed(p):
 def _envelope_L_arr(r, z):
     r = np.asarray(r, dtype=float)
     z = np.asarray(z, dtype=float)
-    s = _sqrt_s(r, z)
+    return _envelope_L(r, z, r * r, _sqrt_s(r, z))
+
+
+def _envelope_L(r, z, r2, s):
+    # L from float arrays r, z and the shared terms r2 = r^2, s = _sqrt_s(r, z)
     a = r * z / s
-    b = r * (r * r - 3.0) * z / s
+    b = r * (r2 - 3.0) * z / s
     _require((np.abs(a) < 1.0) & (np.abs(b) < 1.0), ValueError,
              "inverse-tanh argument left (-1, 1) in L", r, z)
     return np.arctanh(a) - np.arctanh(b)
@@ -244,7 +274,8 @@ def _frak_c_arr(r):
     r = np.asarray(r, dtype=float)
     near = r < SERIES_R_THRESHOLD
     rc = np.where(near, 1.0, r)  # the direct form is 0/0 at r = 0
-    return np.where(near, _frak_c_series(r), _n_of_r(rc) / (math.pi * rc ** 3))
+    return _series_where(near, lambda: _frak_c_series(r),
+                         _n_of_r(rc) / (math.pi * rc ** 3))
 
 
 def frak_c(r):
@@ -266,8 +297,8 @@ def _c_at_zero_arr(r):
     r = np.asarray(r, dtype=float)
     near = r < SERIES_R_THRESHOLD
     rc = np.where(near, 1.0, r)
-    return np.where(near, _frak_c_series(r) / (1.0 + r),
-                    _n_of_r(rc) / (math.pi * (1.0 + rc) * rc ** 3))
+    return _series_where(near, lambda: _frak_c_series(r) / (1.0 + r),
+                         _n_of_r(rc) / (math.pi * (1.0 + rc) * rc ** 3))
 
 
 def c_at_zero(r):

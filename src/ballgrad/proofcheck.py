@@ -35,9 +35,9 @@ from typing import Optional
 import numpy as np
 
 from .closedform4 import (EvalPoint, _atan_den, _c_at_zero_arr, _c_closed_arr,
-                          _c_components_arr, _envelope_g1_arr, _envelope_L_arr,
-                          _frak_c_arr, _gradient_bound_arr, _psi_closed_arr,
-                          _sqrt_s, _v_certificate_arr)
+                          _c_terms, _envelope_g1_arr, _envelope_L_arr,
+                          _frak_c_arr, _gradient_bound_arr, _h1, _h2,
+                          _h3, _psi_closed_arr, _sqrt_s, _v_certificate_arr)
 from .exceptions import EvaluationError
 from .kernelint import ParamSet, QuadratureSpec, c_numeric, q_partial_fractions
 from .poisson_oracle import SphereQuadrature, best_direction
@@ -445,7 +445,7 @@ def _h2_mag_zero(r):
 
 
 def _h1_of(r, z):
-    return _c_components_arr(r, z)[0]
+    return _h1(*_c_terms(r, z))
 
 
 def _chain_line2(r, z):
@@ -528,7 +528,7 @@ def identity_cases():
                      _g1_prime_display,
                      (b_r, b_z), "derivative_of_equals", wrt=1),
         IdentityCase("h2_prime",
-                     lambda r, z: -_c_components_arr(r, z)[1],
+                     lambda r, z: -_h2(*_c_terms(r, z)),
                      _h2_prime_display,
                      (b_r, b_z), "derivative_of_equals", wrt=1,
                      note="lhs is the magnitude branch of h2; the registered "
@@ -563,7 +563,7 @@ def inequality_cases():
                      (b_r, b_z), "pointwise_leq",
                      note="|h2| decreases from its z = 0 maximum"),
         IdentityCase("h3_nonpositive",
-                     lambda r, z: _c_components_arr(r, z)[2], _zero,
+                     lambda r, z: _h3(*_c_terms(r, z)), _zero,
                      (("r", 1e-3, 1.0 - 1e-3), ("z", 0.0, 50.0)),
                      "pointwise_leq",
                      note="h3(r, 0) = 0 attained on the grid"),

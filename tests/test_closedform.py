@@ -285,6 +285,45 @@ def test_series_branch_warning_once_per_call():
     assert [w.category for w in caught] == [SeriesBranchWarning] * 3
 
 
+# series radii, z = 0 and a z inside the z-series band, mixed with direct
+# elements on both sides of each seam (the radial forms add r = 0)
+MIXED_R = np.array([2e-4, SERIES_R_THRESHOLD * (1 - 1e-9), 0.3,
+                    SERIES_R_THRESHOLD * (1 + 1e-9), 5e-4, 0.99])
+MIXED_Z = np.array([1.3, 0.0, 0.5 * SERIES_Z_THRESHOLD,
+                    SERIES_Z_THRESHOLD * (1 + 1e-9), 4.0])
+
+
+def _call(f, *args):
+    """f(*args) and the categories of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = f(*args)
+    return value, [w.category for w in caught]
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(0, 2), slice(2, 4)])
+def test_mixed_branch_arrays_match_their_elements(rows):
+    """An array that mixes series and direct elements gives each element
+    bit for bit as that element alone.  The series warning is raised
+    exactly when some radius takes the series, and no RuntimeWarning."""
+    r, z = np.meshgrid(MIXED_R[rows], MIXED_Z, indexing="ij")
+    radial = np.concatenate([[0.0], MIXED_R[rows]])
+    cases = [(_c_closed_arr, (r, z))]
+    cases += [(lambda r, z, k=k: _c_components_arr(r, z)[k], (r, z))
+              for k in range(3)]
+    cases += [(_frak_c_arr, (radial,)), (_c_at_zero_arr, (radial,))]
+    for f, args in cases:
+        warns = f is _c_closed_arr
+        whole, caught = _call(f, *args)
+        assert caught == [SeriesBranchWarning] * (
+            warns and bool(np.any(args[0] < SERIES_R_THRESHOLD)))
+        for i, point in enumerate(zip(*(a.flat for a in args))):
+            value, caught = _call(f, *point)
+            assert np.asarray(value).tobytes() == whole.flat[i].tobytes(), point
+            assert caught == [SeriesBranchWarning] * (
+                warns and bool(point[0] < SERIES_R_THRESHOLD))
+
+
 def test_sanity_checks_raise_typed_errors_naming_the_point():
     # r > 1 breaks the positivity of the arctan denominator
     with pytest.raises(EvaluationError, match=r"\(r, z\) = \(1\.5, 0\.5\)"):

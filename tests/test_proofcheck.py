@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,8 +30,8 @@ from ballgrad.proofcheck import (
     run_inequality_suite,
 )
 from ballgrad import closedform4, proofcheck
-from ballgrad.exceptions import EvaluationError
-from ballgrad.proofcheck import _BLOCK_POINTS, _golden_max, _sobol_unit
+from ballgrad.exceptions import EvaluationError, SeriesBranchWarning
+from ballgrad.proofcheck import _BLOCK_POINTS, _axis_grid, _golden_max, _sobol_unit
 
 
 def test_registry_completeness():
@@ -162,6 +163,85 @@ def test_row_blocks_match_the_whole_grid():
     rep = check_inequality(case)
     assert rep.worst_violation == float(viol.flat[i])
     assert rep.worst_location == (float(mesh[0].flat[i]), float(mesh[1].flat[i]))
+
+
+def _case(name, cases=inequality_cases):
+    return next(c for c in cases() if c.name == name)
+
+
+def _count_series_calls(monkeypatch):
+    """Record, by name, every call of the closed forms' series branches."""
+    calls = []
+    for name in ("_hsum_series", "_h1_series", "_frak_c_series"):
+        def counted(*args, _name=name, _original=getattr(closedform4, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(closedform4, name, counted)
+    return calls
+
+
+def test_series_branches_run_only_where_an_element_takes_them(monkeypatch):
+    calls = _count_series_calls(monkeypatch)
+    # r >= 0.05 and z >= 1e-3: no element takes a series
+    check_inequality(_case("c_sup_sweep"))
+    assert calls == []
+    # z = 0 is on this grid, but h3 is computed without h1 and its series
+    check_inequality(_case("h3_nonpositive"))
+    assert calls == []
+    # the sup search evaluates C(z, r) at z = 0, through h1's z-series
+    locate_sup(0.5)
+    assert set(calls) == {"_h1_series"}
+    calls.clear()
+    # the radial grid starts at r = 0
+    check_inequality(_case("frakc_decreasing"))
+    assert set(calls) == {"_frak_c_series"}
+    calls.clear()
+    with pytest.warns(SeriesBranchWarning):
+        closedform4._c_closed_arr(np.array([5e-4, 0.5]), 0.0)
+    assert sorted(calls) == ["_h1_series", "_hsum_series"]
+
+
+def test_c_sup_sweep_memory_peak():
+    """One row block of c_sup_sweep holds the mesh, the violation array
+    and the closed forms' temporaries for 8,000 points."""
+    case = _case("c_sup_sweep")
+    tracemalloc.start()
+    try:
+        check_inequality(case)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * 2 ** 20
+
+
+def _registry_points():
+    """The identity registry's (r, z) Sobol sample, the 100 x 100 chain
+    grid and the h3_nonpositive grid, which holds z = 0."""
+    domain = _case("h2_prime", identity_cases).domain
+    los = np.array([lo for _, lo, _ in domain])
+    his = np.array([hi for _, _, hi in domain])
+    sample = los + _sobol_unit(1024, 2) * (his - los)
+    yield sample[:, 0], sample[:, 1]
+    for name in ("chain_step2", "h3_nonpositive"):
+        axes = [_axis_grid(v, lo, hi, 100) for v, lo, hi in _case(name).domain]
+        yield tuple(np.meshgrid(*axes, indexing="ij"))
+
+
+def test_components_one_at_a_time_match_the_composition():
+    """h1, h2 and h3 computed on their own, and the registry cases built on
+    them, equal the components of _c_components_arr bit for bit."""
+    h2_prime = _case("h2_prime", identity_cases)
+    h3_nonpositive = _case("h3_nonpositive")
+    for r, z in _registry_points():
+        terms = closedform4._c_terms(r, z)
+        h1, h2, h3 = closedform4._c_components_arr(r, z)
+        for alone, whole in ((closedform4._h1(*terms), h1),
+                             (closedform4._h2(*terms), h2),
+                             (closedform4._h3(*terms), h3),
+                             (proofcheck._h1_of(r, z), h1),
+                             (-h2_prime.lhs(r, z), h2),
+                             (h3_nonpositive.lhs(r, z), h3)):
+            assert alone.tobytes() == whole.tobytes()
 
 
 def test_identity_case_validation():
