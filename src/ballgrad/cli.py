@@ -16,8 +16,8 @@ is built once per process, on the first call of ``main``.
 Exit codes: 0 pass, 1 verified violation, 2 usage error, 3 numerical
 failure.  All numbers print with 17 significant digits so text output
 round-trips through the JSON reports.  JSON output is byte-identical
-across runs for a fixed command line and seed once timing is suppressed
-with --no-timing.
+across runs on one host for a fixed command line and seed once timing
+is suppressed with --no-timing.
 """
 
 import argparse
@@ -26,7 +26,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .closedform4 import (SERIES_R_THRESHOLD, EvalPoint, _c_at_zero_arr,
                           _c_closed_arr, _frak_c_arr, _gradient_bound_arr,
-                          c_at_zero, disk_constant, frak_c, gradient_bound)
+                          disk_constant, frak_c, gradient_bound)
 from .exceptions import EvaluationError, QuadratureError
 from .kernelint import ParamSet, QuadratureSpec, c_numeric
 from .poisson_oracle import (DirectionalQuery, SphereQuadrature,
@@ -81,6 +81,12 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _field_dict(obj):
+    """A dataclass's fields as a flat dict; ``json.dumps`` encodes it to
+    the bytes of ``dataclasses.asdict``, without that deep copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _manifest(args, argv, tols, tags, t0):
     wall = None if args.no_timing else time.perf_counter() - t0
     return RunManifest(tool_version=__version__, command_line=list(argv),
@@ -101,7 +107,7 @@ def _emit_csv(header, rows, manifest, out):
     lines = [header + "\n"]
     lines += [",".join(_fmt(x) for x in row) + "\n" for row in rows]
     body = "".join(lines)
-    mtext = json.dumps({"manifest": asdict(manifest)}, sort_keys=True,
+    mtext = json.dumps({"manifest": _field_dict(manifest)}, sort_keys=True,
                        indent=2) + "\n"
     if out:
         with open(out, "w", newline="") as fh:
@@ -174,7 +180,8 @@ def cmd_constant(args, argv):
     record = {"r": r, "n": n, "frak_c": fc, "c_at_zero": c0,
               "gradient_bound": gb, "method": tag}
     if args.json:
-        _emit_json({"manifest": asdict(manifest), "reports": [record]}, args.out)
+        _emit_json({"manifest": _field_dict(manifest), "reports": [record]},
+                   args.out)
     else:
         lines = [f"r = {_fmt(r)}  n = {n}  [{tag}]",
                  f"frak_c         = {_fmt(fc)}",
@@ -217,7 +224,7 @@ def cmd_curve(args, argv):
 
     manifest = _manifest(args, argv, {}, ["closed_form"], t0)
     if args.json:
-        payload = {"manifest": asdict(manifest),
+        payload = {"manifest": _field_dict(manifest),
                    "reports": [{"quantity": args.quantity, "header": header,
                                 "rows": [[float(a), float(b)] for a, b in rows]}]}
         _emit_json(payload, args.out)
@@ -233,10 +240,11 @@ def cmd_curve(args, argv):
 def _sup_reports(args):
     n = args.n
     radii = np.linspace(0.05, 0.95, args.r_steps)
+    # the n = 4 sup must equal C(0, r): one array call for all radii
+    c0s = _c_at_zero_arr(radii).tolist() if n == 4 else [None] * radii.size
     reports = []
-    for r, res in zip(radii, proofcheck.locate_sup(radii, n=n)):
+    for r, c0, res in zip(radii, c0s, proofcheck.locate_sup(radii, n=n)):
         if n == 4:
-            c0 = c_at_zero(float(r))
             ok = res.z_star <= 1e-4 and res.c_star <= c0 * (1.0 + 1e-9)
             worst = res.c_star / c0 - 1.0
             tol, note = 1e-9, "sup of C(., r) must sit at z = 0"
@@ -301,9 +309,9 @@ def _oracle_reports(args, tol):
     # (relative deviation, its tolerance, r); the worst exceeds its
     # tolerance by the most
     cases = []
-    for r in (0.1, 0.3, 0.5, 0.7, 0.9):
+    radii = (0.1, 0.3, 0.5, 0.7, 0.9)
+    for r, ref in zip(radii, _gradient_bound_arr(np.array(radii)).tolist()):
         v, se = directional_constant_with_error(DirectionalQuery(4, r, 0.0), sq)
-        ref = gradient_bound(r)
         cases.append((abs(v - ref) / ref,
                       tol if sigmas is None else sigmas * se / ref, r))
     worst_cmp, tol_cmp, r = max(cases, key=lambda c: c[0] - c[1])
@@ -345,8 +353,8 @@ def cmd_verify(args, argv):
         tags = [args.method.replace("-", "_"), "central_fd"]
 
     manifest = _manifest(args, argv, tols, tags, t0)
-    payload = {"manifest": asdict(manifest),
-               "reports": [asdict(rep) for rep in reports]}
+    payload = {"manifest": _field_dict(manifest),
+               "reports": [_field_dict(rep) for rep in reports]}
     if args.json or args.out:
         _emit_json(payload, args.out)
     if not args.json:
@@ -375,7 +383,8 @@ def cmd_oracle(args, argv):
     record = {"n": args.n, "r": args.r, "theta": args.theta,
               "value": value, "error": err, "method": sq.method}
     if args.json:
-        _emit_json({"manifest": asdict(manifest), "reports": [record]}, args.out)
+        _emit_json({"manifest": _field_dict(manifest), "reports": [record]},
+                   args.out)
     else:
         print(f"C(n={args.n}, r={_fmt(args.r)}, theta={_fmt(args.theta)})"
               f" = {_fmt(value)}  (error ~ {_fmt(err)})")

@@ -70,7 +70,9 @@ class IdentityCase:
 
     ``lhs`` and ``rhs`` receive one broadcastable numpy array per domain
     variable (a whole grid or sample at once) and return an array of the
-    broadcast shape, or a scalar where the side is constant.
+    broadcast shape, or a scalar where the side is constant.  They must
+    be elementwise: a differentiated lhs receives its ``wrt`` variable as
+    a (4, n) stack of finite-difference shifts.
 
     For ``derivative_of_equals`` the lhs is differentiated with respect
     to the domain variable at index ``wrt`` before comparison; the lhs
@@ -154,18 +156,19 @@ def _sobol_unit(n, d):
 
 
 def _richardson(f, args, i):
-    # central difference at steps h and h/2, Richardson-combined: O(h^4)
+    # central differences at steps h/2 and h, Richardson-combined: O(h^4).
+    # One call of f takes the four shifts x + h/2, x - h/2, x + h, x - h
+    # stacked on a new leading axis; f is elementwise, so each row holds
+    # the values four separate calls would give.
     x = args[i]
     h = _CBRT_EPS * (1.0 + np.abs(x))
-
-    def central(hh):
-        up = list(args)
-        dn = list(args)
-        up[i] = x + hh
-        dn[i] = x - hh
-        return (f(*up) - f(*dn)) / (2.0 * hh)
-
-    return (4.0 * central(0.5 * h) - central(h)) / 3.0
+    half = 0.5 * h
+    shifted = list(args)
+    shifted[i] = np.stack([x + half, x - half, x + h, x - h])
+    up_half, dn_half, up, dn = f(*shifted)
+    central_half = (up_half - dn_half) / (2.0 * half)
+    central = (up - dn) / (2.0 * h)
+    return (4.0 * central_half - central) / 3.0
 
 
 def _deviation(a, b):
@@ -206,7 +209,8 @@ def check_derivative_identity(case, n_points=1024, tolerance=1e-7):
 
     The sample is unscrambled, hence fully deterministic; the deviation
     metric |lhs - rhs| / (1 + max(|lhs|, |rhs|)) is symmetric in the two
-    sides.  The whole sample is evaluated in one call per side; an
+    sides.  The whole sample is evaluated in one call of each side's
+    function, a derivative's four finite-difference shifts included; an
     evaluation failure aborts with the case name and the offending
     point in the exception message.
     """
@@ -575,7 +579,8 @@ def inequality_cases():
                      checker="monotone_decreasing"),
         IdentityCase("c_sup_sweep",
                      _c_closed_arr,
-                     lambda r, z: _c_at_zero_arr(r),
+                     # r is constant along each row of an ij-mesh block
+                     lambda r, z: _c_at_zero_arr(r[:, :1]),
                      (("r", 0.05, 0.995), b_z), "pointwise_leq",
                      grid_shape=(200, 200),
                      note="C(z, r) <= C(0, r): the sup sits at z = 0"),

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import math
 import shlex
@@ -10,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from ballgrad import poisson_oracle
-from ballgrad.cli import _DEFAULT_TOLS, build_parser, main
+from ballgrad.cli import (_DEFAULT_TOLS, RunManifest, _field_dict,
+                          build_parser, main)
 from ballgrad.closedform4 import (c_at_zero, frak_c, gradient_bound,
                                   sharp_constant_report)
+from ballgrad.proofcheck import VerificationReport
 from test_kernelint import C_N3_REF
 
 
@@ -428,6 +431,36 @@ def test_verify_byte_determinism(capsys):
     reports_a = json.loads(a)["reports"]
     assert {rep["seed"] for rep in reports_a} == {None}
     assert json.loads(c)["reports"] == reports_a
+
+
+def _report(**fields):
+    return VerificationReport(**{
+        "case_name": "sup_n4_r0.50", "sample_desc": "512-point log grid",
+        "worst_violation": -1.5e-16, "worst_location": (0.5, 0.0),
+        "tolerance": 1e-9, "passed": True, "method": "golden_section",
+        **fields})
+
+
+def _manifest(wall_time):
+    return RunManifest(tool_version="1.0", command_line=["verify", "sup"],
+                       tolerances={"identities": 1e-7}, seed=20220417,
+                       method_tags=["golden_section"], wall_time=wall_time)
+
+
+@pytest.mark.parametrize("obj", [
+    _report(),
+    _report(seed=7, worst_location=(), note="seeded"),
+    _report(worst_violation=0.0, worst_location=(0.25, 1.75),
+            tolerance=math.inf, note="exploratory"),
+    _manifest(None),
+    _manifest(0.125),
+], ids=["report", "report_seeded", "report_inf_tol", "manifest",
+        "manifest_timed"])
+def test_field_dict_encodes_as_asdict(obj):
+    def dump(payload):
+        return json.dumps(payload, sort_keys=True, indent=2)
+
+    assert dump(_field_dict(obj)) == dump(dataclasses.asdict(obj))
 
 
 # ---- oracle / sweep -------------------------------------------------------

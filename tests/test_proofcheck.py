@@ -1,5 +1,6 @@
 """Verification registry: derivative identities, inequality sweeps, sup search."""
 
+import dataclasses
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from ballgrad.proofcheck import (
     run_identity_suite,
     run_inequality_suite,
 )
-from ballgrad import closedform4, proofcheck
+from ballgrad import cli, closedform4, proofcheck
 from ballgrad.exceptions import EvaluationError, SeriesBranchWarning
 from ballgrad.proofcheck import _BLOCK_POINTS, _axis_grid, _golden_max, _sobol_unit
 
@@ -93,6 +94,54 @@ def test_detects_a_broken_identity():
     assert not rep.passed
     assert rep.worst_violation > 0.01
     assert rep.worst_location is not None
+
+
+def _four_call_richardson(f, args, i):
+    """The Richardson derivative with one call of ``f`` per shift."""
+    x = args[i]
+    h = proofcheck._CBRT_EPS * (1.0 + np.abs(x))
+
+    def central(hh):
+        up, dn = list(args), list(args)
+        up[i], dn[i] = x + hh, x - hh
+        return (f(*up) - f(*dn)) / (2.0 * hh)
+
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
+
+
+@pytest.mark.parametrize("name", ["frakc_prime", "l_prime", "u_prime",
+                                  "vu_combination"])
+def test_stacked_richardson_matches_four_calls(name):
+    case = _case(name, identity_cases)
+    los = np.array([lo for _, lo, _ in case.domain])
+    his = np.array([hi for _, _, hi in case.domain])
+    n = 1024
+    pts = los + _sobol_unit(n, len(case.domain)) * (his - los)
+    args = tuple(np.ascontiguousarray(col) for col in pts.T)
+    tuple_lhs = isinstance(case.lhs, tuple)
+    pairs = case.lhs if tuple_lhs else ((None, case.lhs),)
+    shapes = [[] for _ in pairs]
+
+    def counted(fn, calls):
+        def f(*a):
+            calls.append(np.shape(a[case.wrt]))
+            return fn(*a)
+        return f
+
+    wrapped = tuple((coeff, counted(fn, calls))
+                    for (coeff, fn), calls in zip(pairs, shapes))
+    lhs = wrapped if tuple_lhs else wrapped[0][1]
+    stacked = proofcheck._lhs_value(dataclasses.replace(case, lhs=lhs), args)
+    # one call per function, its wrt argument the four shifts stacked
+    assert shapes == [[(4, n)]] * len(pairs)
+
+    if tuple_lhs:
+        expected = sum(coeff(*args) * _four_call_richardson(fn, args, case.wrt)
+                       for coeff, fn in case.lhs)
+    else:
+        expected = _four_call_richardson(case.lhs, args, case.wrt)
+    assert np.all(np.isfinite(expected))
+    assert stacked.tobytes() == expected.tobytes()
 
 
 def test_detects_a_broken_inequality():
@@ -401,11 +450,21 @@ def test_verify_sup_makes_few_closed_form_calls(monkeypatch, capsys):
         calls.append(1)
         return original(r, z)
 
+    # C(0, r), the value each sup is judged against
+    c0_shapes = []
+    original_c0 = cli._c_at_zero_arr
+
+    def counted_c0(r):
+        c0_shapes.append(np.shape(r))
+        return original_c0(r)
+
     monkeypatch.setattr(closedform4, "_c_closed_arr", counted)
     monkeypatch.setattr(proofcheck, "_c_closed_arr", counted)
+    monkeypatch.setattr(cli, "_c_at_zero_arr", counted_c0)
     assert main(["verify", "sup", "--json", "--no-timing"]) == 0
     assert len(json.loads(capsys.readouterr().out)["reports"]) == 19
     assert 0 < len(calls) <= 40
+    assert c0_shapes == [(19,)]
 
 
 def test_conjecture_report_flat_disk():
