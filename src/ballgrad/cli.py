@@ -335,7 +335,7 @@ def cmd_verify(args, argv):
 
     if args.suite == "identities":
         reports = proofcheck.run_identity_suite(tolerance=tols["identities"])
-        tags = ["richardson_fd", "sobol"]
+        tags = ["complex_step", "sobol"]
     elif args.suite == "lemmas":
         reports = proofcheck.run_inequality_suite(tolerance=tols["inequalities"])
         tags = ["grid_sweep"]

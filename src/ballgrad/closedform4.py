@@ -13,7 +13,9 @@ array of their broadcast shape.  The public n = 4 functions are thin
 scalar wrappers: they validate their arguments (through ``EvalPoint`` or a
 range check), call the array form and return floats.  The verification
 registries in ``proofcheck`` call the array forms on whole grids and
-samples at once.  The components h1, h2 and h3 are also computed one at
+samples at once, complex ones too for a complex-step derivative: every
+formula is analytic, and the series masks and sanity checks read the
+real part.  The components h1, h2 and h3 are also computed one at
 a time, by ``_h1`` / ``_h2`` / ``_h3`` from the terms ``_c_terms`` shares
 among them.
 
@@ -62,11 +64,17 @@ class SharpConstantReport:
     method: str  # "closed_form" | "series_branch"
 
 
+def _as_array(x):
+    # float64, or complex as given (a complex step); float64 is not copied
+    x = np.asarray(x)
+    return x if x.dtype.kind == "c" else x.astype(float, copy=False)
+
+
 def _require(ok, exc, what, r, z):
     """Raise ``exc(what ...)`` naming the first (r, z) where ``ok`` is false."""
     if np.all(ok):
         return
-    ok, r, z = np.broadcast_arrays(ok, r, z)
+    ok, r, z = np.broadcast_arrays(ok, np.real(r), np.real(z))
     i = np.unravel_index(np.argmin(ok), ok.shape)
     raise exc(f"{what} at (r, z) = ({float(r[i])!r}, {float(z[i])!r})")
 
@@ -81,14 +89,15 @@ def _atan_den(r, z):
     # so the arctan terms never need a quadrant correction.
     r2 = r * r
     d = (2.0 - r2) ** 2 + 4.0 * (1.0 - r2) * z * z
-    _require(d > 0.0, EvaluationError, "arctan denominator lost positivity", r, z)
+    _require(d.real > 0.0, EvaluationError,
+             "arctan denominator lost positivity", r, z)
     return d
 
 
 def _psi_closed_arr(r, z):
     """Vectorized closed form of the profile function; z may be any sign."""
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
+    r = _as_array(r)
+    z = _as_array(z)
     r2 = r * r
     s = _sqrt_s(r, z)
     den = _atan_den(r, z)
@@ -105,8 +114,8 @@ def _psi_closed_arr(r, z):
     p2 = 1.0 + (2.0 - 2.0 * r2 + r2 * r2) * z2 + (1.0 - r2) ** 2 * z2 * z2
     arg_pos = p2 / (1.0 + (1.0 + r2) * z2 + r * z * s)
     arg_neg = 1.0 + z * (z + r2 * z - r * s)
-    arg = np.where(z >= 0.0, arg_pos, arg_neg)
-    _require(arg > 0.0, EvaluationError,
+    arg = np.where(z.real >= 0.0, arg_pos, arg_neg)
+    _require(arg.real > 0.0, EvaluationError,
              "log argument went non-positive in psi_closed (catastrophic "
              "cancellation)", r, z)
     t3 = 2.0 * (1.0 - r2) * z * np.log(arg / ((1.0 + r) ** 2 * (1.0 + z2)))
@@ -141,15 +150,15 @@ def _h1_series(r, r2, z):
 
 
 def _c_terms(r, z):
-    # r and z as float arrays, and the terms h1, h2 and h3 share: r^2, s
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
+    # r, z as float or complex arrays, and the terms h1, h2, h3 share: r^2, s
+    r = _as_array(r)
+    z = _as_array(z)
     return r, z, r * r, _sqrt_s(r, z)
 
 
 def _h1(r, z, r2, s):
     # L(z) / (2 (1-r^2) z) is continued to z = 0 below SERIES_Z_THRESHOLD
-    near = z < SERIES_Z_THRESHOLD
+    near = z.real < SERIES_Z_THRESHOLD
     zd = np.where(near, 1.0, z)  # the direct form is 0/0 at z = 0
     c = 2.0 * (1.0 - r2)
     quotient = _series_where(near, lambda: _h1_series(r, r2, z),
@@ -166,7 +175,7 @@ def _h2(r, z, r2, s):
 
 def _h3(r, z, r2, s):
     a3 = r * z * s / (1.0 + (1.0 + r2) * z * z)
-    _require(np.abs(a3) < 1.0, ValueError,
+    _require(np.abs(a3.real) < 1.0, ValueError,
              "inverse-tanh argument left (-1, 1) in h3", r, z)
     return 0.5 * (r2 - 1.0) * z * np.arctanh(a3)
 
@@ -206,11 +215,11 @@ def _hsum_series(r, z):
 
 def _c_closed_arr(r, z):
     """C(z, r) elementwise; warns once if any radius takes the series branch."""
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    near = r < SERIES_R_THRESHOLD
+    r = _as_array(r)
+    z = _as_array(z)
+    near = r.real < SERIES_R_THRESHOLD
     if np.any(near):
-        warnings.warn(f"r={float(np.min(r))} below series threshold; "
+        warnings.warn(f"r={float(np.min(r.real))} below series threshold; "
                       "using series branch", SeriesBranchWarning, stacklevel=2)
     h1, h2, h3 = _c_components_arr(r, z)
     hsum = _series_where(near, lambda: _hsum_series(r, z), h1 + h2 + h3)
@@ -223,16 +232,16 @@ def c_closed(p):
 
 
 def _envelope_L_arr(r, z):
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
+    r = _as_array(r)
+    z = _as_array(z)
     return _envelope_L(r, z, r * r, _sqrt_s(r, z))
 
 
 def _envelope_L(r, z, r2, s):
-    # L from float arrays r, z and the shared terms r2 = r^2, s = _sqrt_s(r, z)
+    # L from arrays r, z and the shared terms r2 = r^2, s = _sqrt_s(r, z)
     a = r * z / s
     b = r * (r2 - 3.0) * z / s
-    _require((np.abs(a) < 1.0) & (np.abs(b) < 1.0), ValueError,
+    _require((np.abs(a.real) < 1.0) & (np.abs(b.real) < 1.0), ValueError,
              "inverse-tanh argument left (-1, 1) in L", r, z)
     return np.arctanh(a) - np.arctanh(b)
 
@@ -244,8 +253,8 @@ def envelope_L(p):
 
 
 def _envelope_g1_arr(r, z):
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
+    r = _as_array(r)
+    z = _as_array(z)
     s = _sqrt_s(r, z)
     return (r * np.sqrt(4.0 - r * r) + r * (1.0 + r * r) * s) \
         / np.sqrt(1.0 + z * z)
@@ -271,8 +280,8 @@ def _frak_c_series(r):
 
 def _frak_c_arr(r):
     """F(r) elementwise on [0, 1]; the series answers below SERIES_R_THRESHOLD."""
-    r = np.asarray(r, dtype=float)
-    near = r < SERIES_R_THRESHOLD
+    r = _as_array(r)
+    near = r.real < SERIES_R_THRESHOLD
     rc = np.where(near, 1.0, r)  # the direct form is 0/0 at r = 0
     return _series_where(near, lambda: _frak_c_series(r),
                          _n_of_r(rc) / (math.pi * rc ** 3))
@@ -294,8 +303,8 @@ def frak_c(r):
 
 def _c_at_zero_arr(r):
     """C(0, r) = F(r)/(1 + r) elementwise, directly from its formula."""
-    r = np.asarray(r, dtype=float)
-    near = r < SERIES_R_THRESHOLD
+    r = _as_array(r)
+    near = r.real < SERIES_R_THRESHOLD
     rc = np.where(near, 1.0, r)
     return _series_where(near, lambda: _frak_c_series(r) / (1.0 + r),
                          _n_of_r(rc) / (math.pi * (1.0 + rc) * rc ** 3))
@@ -326,7 +335,7 @@ def gradient_bound(r):
 
 def _v_certificate_arr(r):
     # at r = 0 both terms vanish and the sum is exactly +0.0
-    r = np.asarray(r, dtype=float)
+    r = _as_array(r)
     s0 = np.sqrt(4.0 - r * r)
     return r * (4.0 - r * r) * (6.0 - r * r) / (4.0 * (3.0 - r * r) * s0) \
         + np.arctan(r * s0 / (r * r - 2.0))

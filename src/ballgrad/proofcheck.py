@@ -2,10 +2,10 @@
 the sharp gradient bound.
 
 Every displayed derivative formula becomes an ``IdentityCase`` whose
-finite-difference derivative (Richardson-extrapolated central
-differences) is compared against the displayed right-hand side over a
-deterministic quasi-random sample; every inequality becomes a dense grid
-sweep.  The registries are complete and fixed in size:
+complex-step derivative Im f(x + ih) / h is compared against the
+displayed right-hand side over a deterministic quasi-random sample; every
+inequality becomes a dense grid sweep.  The registries are complete and
+fixed in size:
 
 Identity registry (13 cases)::
 
@@ -42,7 +42,7 @@ from .exceptions import EvaluationError
 from .kernelint import ParamSet, QuadratureSpec, c_numeric, q_partial_fractions
 from .poisson_oracle import SphereQuadrature, best_direction
 
-_CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
+_COMPLEX_STEP = 1e-30  # h in f'(x) = Im f(x + ih) / h: nothing cancels
 
 #: Sobol points are 30-bit integers scaled by 2^-30.
 _SOBOL_BITS = 30
@@ -70,9 +70,9 @@ class IdentityCase:
 
     ``lhs`` and ``rhs`` receive one broadcastable numpy array per domain
     variable (a whole grid or sample at once) and return an array of the
-    broadcast shape, or a scalar where the side is constant.  They must
-    be elementwise: a differentiated lhs receives its ``wrt`` variable as
-    a (4, n) stack of finite-difference shifts.
+    broadcast shape, or a scalar where the side is constant.  A
+    differentiated lhs receives its ``wrt`` variable as x + ih and must be
+    analytic in it: no ``abs``, ``maximum`` or ``.real`` of its value.
 
     For ``derivative_of_equals`` the lhs is differentiated with respect
     to the domain variable at index ``wrt`` before comparison; the lhs
@@ -155,20 +155,11 @@ def _sobol_unit(n, d):
     return x
 
 
-def _richardson(f, args, i):
-    # central differences at steps h/2 and h, Richardson-combined: O(h^4).
-    # One call of f takes the four shifts x + h/2, x - h/2, x + h, x - h
-    # stacked on a new leading axis; f is elementwise, so each row holds
-    # the values four separate calls would give.
-    x = args[i]
-    h = _CBRT_EPS * (1.0 + np.abs(x))
-    half = 0.5 * h
+def _complex_step(f, args, i):
+    # df/dx_i as Im f(..., x_i + ih, ...) / h, in one call of f
     shifted = list(args)
-    shifted[i] = np.stack([x + half, x - half, x + h, x - h])
-    up_half, dn_half, up, dn = f(*shifted)
-    central_half = (up_half - dn_half) / (2.0 * half)
-    central = (up - dn) / (2.0 * h)
-    return (4.0 * central_half - central) / 3.0
+    shifted[i] = args[i] + 1j * _COMPLEX_STEP
+    return np.imag(f(*shifted)) / _COMPLEX_STEP
 
 
 def _deviation(a, b):
@@ -178,9 +169,9 @@ def _deviation(a, b):
 def _lhs_value(case, args):
     if case.kind == "derivative_of_equals":
         if isinstance(case.lhs, tuple):
-            return sum(coeff(*args) * _richardson(fn, args, case.wrt)
+            return sum(coeff(*args) * _complex_step(fn, args, case.wrt)
                        for coeff, fn in case.lhs)
-        return _richardson(case.lhs, args, case.wrt)
+        return _complex_step(case.lhs, args, case.wrt)
     return case.lhs(*args)
 
 
@@ -210,9 +201,9 @@ def check_derivative_identity(case, n_points=1024, tolerance=1e-7):
     The sample is unscrambled, hence fully deterministic; the deviation
     metric |lhs - rhs| / (1 + max(|lhs|, |rhs|)) is symmetric in the two
     sides.  The whole sample is evaluated in one call of each side's
-    function, a derivative's four finite-difference shifts included; an
-    evaluation failure aborts with the case name and the offending
-    point in the exception message.
+    function, a derivative's complex step x + ih included; an evaluation
+    failure aborts with the case name and the offending point in the
+    exception message.
     """
     if case.kind == "pointwise_leq":
         raise ValueError(f"{case.name} is an inequality; use check_inequality")
@@ -227,7 +218,7 @@ def check_derivative_identity(case, n_points=1024, tolerance=1e-7):
         raise EvaluationError(f"{case.name}: evaluation failed: {exc}") from exc
     worst, where = _first_max(case, dev, args)
 
-    method = ("richardson_fd" if case.kind == "derivative_of_equals"
+    method = ("complex_step" if case.kind == "derivative_of_equals"
               else "pointwise")
     box = ", ".join(f"{v} in [{lo:g}, {hi:g}]" for v, lo, hi in case.domain)
     return VerificationReport(case_name=case.name,
@@ -421,7 +412,7 @@ def _g1_prime_display(r, z):
 
 def _h2_prime_display(r, z):
     # corrected leading coefficient r (the doubled variant fails the
-    # finite-difference check by a uniform factor of two)
+    # derivative check by a uniform factor of two)
     r2 = r * r
     return r * (2.0 - r2) * z * (r2 - 2.0 + 2.0 * (r2 - 1.0) * z * z) \
         / ((1.0 + z * z) * _sqrt_s(r, z) * (1.0 + (1.0 - r2) ** 2 * z * z))
@@ -539,11 +530,9 @@ def identity_cases():
                           "derivative carries leading coefficient r -- the "
                           "doubled (2r) variant deviates by exactly 2x"),
         IdentityCase("v_prime", _v_certificate_arr, _v_prime_display,
-                     (("r", 0.02, 0.98),), "derivative_of_equals", wrt=0),
+                     (b_r,), "derivative_of_equals", wrt=0),
         IdentityCase("frakc_prime", _frak_c_arr, _frak_prime_display,
-                     (("r", 0.1, 0.98),), "derivative_of_equals", wrt=0,
-                     note="lower margin 0.1: below it the r^3 cancellation "
-                          "in the numerator amplifies finite-difference noise"),
+                     (b_r,), "derivative_of_equals", wrt=0),
     ]
 
 

@@ -183,6 +183,19 @@ def test_verify_identities(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+def test_verify_identities_json_names_the_complex_step(capsys):
+    code, out, _ = run_cli(capsys, "verify", "identities", "--json",
+                           "--no-timing")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["manifest"]["method_tags"] == ["complex_step", "sobol"]
+    methods = {r["case_name"]: r["method"] for r in doc["reports"]}
+    assert len(methods) == 13
+    assert set(methods.values()) == {"complex_step", "pointwise"}
+    assert [name for name, m in methods.items() if m == "pointwise"] \
+        == ["psi_pair", "x_representation"]
+
+
 def test_verify_lemmas(capsys):
     code, out, _ = run_cli(capsys, "verify", "lemmas")
     assert code == 0

@@ -32,16 +32,19 @@ from ballgrad import (
     sharp_constant_report,
     v_certificate,
 )
+from ballgrad import closedform4
 from ballgrad.closedform4 import (
     SERIES_R_THRESHOLD,
     SERIES_Z_THRESHOLD,
     _c_at_zero_arr,
     _c_closed_arr,
     _c_components_arr,
+    _c_terms,
     _envelope_g1_arr,
     _envelope_L_arr,
     _frak_c_arr,
     _gradient_bound_arr,
+    _h3,
     _psi_closed_arr,
     _v_certificate_arr,
 )
@@ -333,6 +336,70 @@ def test_sanity_checks_raise_typed_errors_naming_the_point():
     # at r = 1 the second inverse-tanh argument of L rounds to 1
     with pytest.raises(ValueError, match=r"in L at \(r, z\) = \(1\.0, 100000000\.0\)"):
         _envelope_L_arr(np.array([0.5, 1.0]), 1e8)
+
+
+# a complex step, as proofcheck's derivative identities take it
+STEP = 1e-30j
+
+
+@pytest.mark.parametrize("f,args,exc,named", [
+    (_psi_closed_arr, (1.5 + STEP, np.array([0.5])), EvaluationError,
+     r"denominator lost positivity at \(r, z\) = \(1\.5, 0\.5\)$"),
+    (_c_closed_arr, (np.array([0.5, 1.5, 1.7]), 0.5 + STEP), EvaluationError,
+     r"denominator lost positivity at \(r, z\) = \(1\.5, 0\.5\)$"),
+    (_envelope_L_arr, (np.array([0.5, 1.0]) + STEP, 1e8), ValueError,
+     r"in L at \(r, z\) = \(1\.0, 100000000\.0\)$"),
+    (lambda r, z: _h3(*_c_terms(r, z)), (np.array([0.5, 1.0]), 1e12 + STEP),
+     ValueError, r"in h3 at \(r, z\) = \(1\.0, 1000000000000\.0\)$"),
+], ids=["psi_closed", "c_closed", "envelope_L", "h3"])
+def test_guards_name_the_real_point_of_a_complex_input(f, args, exc, named):
+    """A guard that fails inside a complex-step call raises its typed error
+    at the real (r, z), and no ComplexWarning (a RuntimeWarning) on the
+    way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(exc, match=named):
+            f(*args)
+
+
+def test_series_warning_names_the_real_radius_of_a_complex_input():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = _c_closed_arr(np.array([5e-4, 0.5]) + STEP, 0.0)
+    assert value.dtype == complex
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (SeriesBranchWarning, "r=0.0005 below series threshold; using series "
+                              "branch")]
+
+
+# every array form, by the number of arguments it takes
+ARRAY_FORMS_RZ = (_psi_closed_arr, _c_closed_arr, _envelope_L_arr,
+                  _envelope_g1_arr)
+ARRAY_FORMS_R = (_frak_c_arr, _c_at_zero_arr, _gradient_bound_arr,
+                 _v_certificate_arr)
+
+
+def test_real_input_stays_float64_without_a_copy():
+    assert {f.__name__ for f in ARRAY_FORMS_RZ + ARRAY_FORMS_R} \
+        | {"_c_components_arr"} == {name for name in dir(closedform4)
+                                    if name.endswith("_arr")}
+    r = np.linspace(0.1, 0.9, 5)
+    z = np.linspace(0.0, 2.0, 5)
+    terms = _c_terms(r, z)
+    assert terms[0] is r and terms[1] is z
+    for rr, zz in ((r, z), (0.5, 0.7), (np.float32(0.5), np.array([0, 2]))):
+        values = [f(rr, zz) for f in ARRAY_FORMS_RZ]
+        values += list(_c_components_arr(rr, zz))
+        values += [f(rr) for f in ARRAY_FORMS_R]
+        assert all(np.asarray(v).dtype == np.float64 for v in values), (rr, zz)
+
+
+def test_scalar_wrappers_return_floats():
+    p = EvalPoint(0.5, 0.7)
+    values = [psi_closed(p), psi_closed(p, -1), c_closed(p), envelope_L(p),
+              envelope_g1(p), frak_c(0.5), c_at_zero(0.5), gradient_bound(0.5),
+              v_certificate(0.5), *c_components(p)]
+    assert [type(v) for v in values] == [float] * 12
 
 
 @pytest.mark.parametrize("n,expected", sorted(HALFSPACE_REF.items()))
