@@ -73,16 +73,28 @@ def test_identity_suite_seed_stable():
         == [(r.case_name, r.worst_violation) for r in b]
 
 
-@pytest.mark.parametrize("name,point,bound", [
-    ("r_prime_eq_q", (1.0, 0.5, 0.7), 1e-13),
-    ("l_prime", (0.5, 1.0), 1e-13),
-    ("v_prime", (0.5,), 1e-13),
-    ("g1_prime", (0.5, 2.0), 1e-13),
-    ("h2_prime", (0.5, 1.0), 1e-13),
-])
+PINNED_POINTS = [
+    ("r_prime_eq_q", (1.0, 0.5, 0.7)),
+    ("l_prime", (0.5, 1.0)),
+    ("v_prime", (0.5,)),
+    ("g1_prime", (0.5, 2.0)),
+    ("h2_prime", (0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("name,point,bound",
+                         [(name, point, 1e-7) for name, point in PINNED_POINTS])
 def test_case_deviation_at_pinned_points(name, point, bound):
     case = {c.name: c for c in identity_cases()}[name]
     assert case_deviation(case, point) < bound
+
+
+@pytest.mark.parametrize("name,point", PINNED_POINTS)
+def test_complex_step_deviation_at_pinned_points(name, point):
+    """The complex step leaves no truncation error: the deviation at the
+    pinned points is at rounding level, far below the 1e-7 above."""
+    case = {c.name: c for c in identity_cases()}[name]
+    assert case_deviation(case, point) < 1e-13
 
 
 def test_detects_a_broken_identity():
