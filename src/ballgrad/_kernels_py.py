@@ -1,7 +1,8 @@
 """The batched integrand kernels, in numpy.
 
 Every function takes broadcastable float64 arrays plus parameters and
-returns a new array.  Callers reach this module through
+returns a new array; ``psi_integrand_parts`` returns its two parts
+stacked on a new first axis.  Callers reach this module through
 :func:`ballgrad.backend.get_backend`.
 """
 
@@ -12,20 +13,23 @@ import numpy as np
 BACKEND_NAME = "python"
 
 
-def psi_integrand_batch(w, r, z, n):
-    """Integrand of the radial profile integral at the points ``w``.
+def psi_integrand_parts(w, r, n):
+    """The two z-free parts (a, b) of the radial profile integrand.
 
-    (n - beta + n*z*w - beta*w^2) * w^(n-2) /
-        ((1+w^2)^(n/2+1) * (1+k^2 w^2)^(n/2-1))
+    The integrand (n - beta + n*z*w - beta*w^2) * w^(n-2) / D(w) equals
+    a(w) + z*b(w), with
 
-    with k = (1-r)/(1+r) and beta = (n-(n-2)r)/2.
+        a = (n - beta - beta*w^2) * w^(n-2) / D(w),   b = n * w^(n-1) / D(w),
+
+    D(w) = (1+w^2)^(n/2+1) * (1+k^2 w^2)^(n/2-1), k = (1-r)/(1+r) and
+    beta = (n-(n-2)r)/2.  Returns a and b stacked on a new first axis.
     """
     k = (1.0 - r) / (1.0 + r)
     beta = (n - (n - 2) * r) / 2.0
     w2 = w * w
-    num = (n - beta + n * z * w - beta * w2) * w ** (n - 2)
-    den = (1.0 + w2) ** (n / 2.0 + 1.0) * (1.0 + k * k * w2) ** (n / 2.0 - 1.0)
-    return num / den
+    wd = w ** (n - 2) / ((1.0 + w2) ** (n / 2.0 + 1.0)
+                         * (1.0 + k * k * w2) ** (n / 2.0 - 1.0))
+    return np.stack([(n - beta - beta * w2) * wd, n * w * wd])
 
 
 def grad_dot_batch(cphi, sphi, u, r, n, ct, st):

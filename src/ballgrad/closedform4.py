@@ -319,6 +319,7 @@ def c_at_zero(r):
 
 def _gradient_bound_arr(r):
     # factored denominator: 1 - r*r loses digits as r -> 1
+    r = _as_array(r)
     return _frak_c_arr(r) / ((1.0 - r) * (1.0 + r))
 
 

@@ -1,19 +1,22 @@
 """General-dimension integral machinery.
 
-Contains the profile integrand and its partial-fraction cross-check, the
+Contains the partial-fraction cross-check of the profile integrand, the
 adaptive Gauss-Kronrod engine shared by every quadrature in the package,
 and the integral representation of the directional constant C(z, r)
 for n >= 3.
 
-The engine has one panel loop: the integrals of an integrand that
-returns one row per component share one panel tree, and one integral
-is a one-row batch.  The profile integrals Psi(+-z t) at the t nodes
-of one outer panel of C(z, r) go through it as one batch, in every
-dimension n = 4 included, so nothing here uses the n = 4 closed forms
-it is checked against.  The outer t rule is chosen by the parity of n.
+The engine refines breadth first: each round evaluates every panel it
+splits in one integrand call, and the integrals of an integrand that
+returns one row per component share one panel tree (one integral is a
+one-row batch).  The profile integrand is a(w) + z b(w) with a and b
+free of z, so the profile integrals Psi(+-z t) at the t nodes of one
+outer round of C(z, r) are running sums over the pieces between their
+sorted upper limits, one batch with one kernel call per round.  This
+holds in every dimension, n = 4 included, so nothing here uses the
+n = 4 closed forms it is checked against.  The outer t rule is chosen
+by the parity of n.
 """
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 
@@ -148,34 +151,43 @@ def q_partial_fractions(w, r, z):
     return even + odd
 
 
-def _gk_panel(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _NODES), dtype=float)
-    if fx.ndim != 2 or fx.shape[1:] != _NODES.shape:
-        raise ValueError("integrand must map the 15 abscissae to an ndarray "
-                         "of shape (15,) or (m, 15)")
-    k15, g7 = half * (fx @ _WEIGHTS_KG).T
-    return k15, np.abs(k15 - g7)
+def _gk_panels(f, lo, hi):
+    # G7-K15 on the panels [lo_j, hi_j], in one call on their 15 P nodes
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    x = (mid[:, None] + half[:, None] * _NODES).ravel()
+    fx = f(x)
+    if fx.ndim != 2 or fx.shape[1] != x.size:
+        raise ValueError("integrand must map its 1-D array of abscissae to "
+                         "an ndarray of the same shape or of shape (m, size)")
+    kg = (fx.reshape(-1, 15) @ _WEIGHTS_KG).reshape(-1, lo.size, 2) * half[:, None]
+    return kg[..., 0], np.abs(kg[..., 0] - kg[..., 1])
 
 
 def _fsum_rows(rows):
-    # math.fsum per component of a list of equal-length vectors
-    return np.array([math.fsum(col) for col in np.array(rows).T.tolist()])
+    # math.fsum along each row of a 2-D array
+    return np.array([math.fsum(row) for row in rows.tolist()])
 
 
 def adaptive_quad(f, a, b, q=QuadratureSpec()):
     """Adaptive Gauss-Kronrod integration of a vectorized integrand.
 
-    ``f`` maps an ndarray of abscissae to values of shape (15,) for one
-    integral, or (m, 15) for m integrals on one shared panel tree; one
-    integral runs as a one-row batch and comes back as Python floats.
-    Returns ``(value, err_estimate)``.  Panels are split largest
-    component error first (ties by insertion counter), so results are
-    reproducible bit-for-bit, until every component meets its own
-    tolerance max(abs_tol, rel_tol*|I_i|).  After max_subdivisions
-    panels a QuadratureError carries the partial result and, in vector
-    mode, names the components that missed.
+    ``f`` maps a 1-D array of 15 P abscissae (the G7-K15 nodes of P
+    panels) to values of the same shape for one integral, or of shape
+    (m, 15 P) for m integrals on one shared panel tree; one integral runs
+    as a one-row batch and comes back as Python floats.  Returns
+    ``(value, err_estimate)``, each the ``math.fsum`` over the panels in
+    position order.
+
+    The panels are refined breadth first until every component meets
+    its own tolerance max(abs_tol, rel_tol*|I_i|).  Each round splits
+    every panel whose error exceeds its share, tolerance / P, of some
+    missed component's tolerance, and evaluates all the halves in one
+    call of ``f``, so results are reproducible bit-for-bit.  A round that
+    would pass max_subdivisions panels splits only the panels furthest
+    over their share, up to the budget; at max_subdivisions panels a
+    QuadratureError carries the partial result and, in vector mode,
+    names the components that missed.
 
     ``endpoint_mode="algebraic_singularity"`` integrates through an
     algebraic singularity at the UPPER endpoint (an inverse-square-root
@@ -201,51 +213,63 @@ def adaptive_quad(f, a, b, q=QuadratureSpec()):
     def result(value, err):
         return (float(value[0]), float(err[0])) if one else (value, err)
 
-    val, err = _gk_panel(rows, a, b)
-    heap = [(-err.max(), 0, a, b, val, err)]
-    counter = 1
-    total, total_err = val, err
+    edges = np.array([a, b], dtype=float)  # panel j is [edges[j], edges[j+1]]
+    val, err = _gk_panels(rows, edges[:-1], edges[1:])
     while True:
-        missed = total_err > np.maximum(q.abs_tol, q.rel_tol * np.abs(total))
+        tol = np.maximum(q.abs_tol, q.rel_tol * np.abs(val.sum(axis=1)))
+        missed = err.sum(axis=1) > tol
         if not missed.any():
-            break
-        if len(heap) >= q.max_subdivisions:
+            return result(_fsum_rows(val), _fsum_rows(err))
+        npanels = edges.size - 1
+        if npanels >= q.max_subdivisions:
             where = "" if one else f" in components {np.flatnonzero(missed).tolist()}"
-            value, err_estimate = result(total, total_err)
+            value, err_estimate = result(_fsum_rows(val), _fsum_rows(err))
             raise QuadratureError(
-                f"tolerance not reached after {len(heap)} panels{where} "
-                f"(err={total_err.max():.3g}); tolerance too tight or "
+                f"tolerance not reached after {npanels} panels{where} "
+                f"(err={np.max(err_estimate):.3g}); tolerance too tight or "
                 f"integrand pathological",
                 value=value, err_estimate=err_estimate)
-        neg_e, _, pa, pb, pv, pe = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        lv, le = _gk_panel(rows, pa, pm)
-        rv, re = _gk_panel(rows, pm, pb)
-        heapq.heappush(heap, (-le.max(), counter, pa, pm, lv, le))
-        heapq.heappush(heap, (-re.max(), counter + 1, pm, pb, rv, re))
-        counter += 2
-        total = total - pv + lv + rv
-        total_err = total_err - pe + le + re
-    # deterministic, accurate final reduction over panels ordered by position
-    panels = sorted(heap, key=lambda t: t[2])
-    return result(_fsum_rows([p[4] for p in panels]),
-                  _fsum_rows([p[5] for p in panels]))
+        # each panel's error over its share of the missed tolerances
+        excess = (err[missed] / tol[missed, None]).max(axis=0) * npanels
+        split = excess > 1.0
+        split[np.argmax(excess)] = True  # rounding can leave every share met
+        budget = q.max_subdivisions - npanels
+        if np.count_nonzero(split) > budget:
+            split[:] = False
+            split[np.argsort(-excess, kind="stable")[:budget]] = True
+        # the halves take their parent's place, keeping position order
+        mids = 0.5 * (edges[:-1][split] + edges[1:][split])
+        edges = np.sort(np.concatenate([edges, mids]))
+        counts = 1 + split
+        kids = np.repeat(split, counts)
+        val, err = np.repeat(val, counts, axis=1), np.repeat(err, counts, axis=1)
+        val[:, kids], err[:, kids] = _gk_panels(rows, edges[:-1][kids], edges[1:][kids])
 
 
 def _psi_numeric_arr(zs, ps, q):
     """Profile integrals Psi(z) for a 1-D array of signed z, in one
     vector-mode quadrature.
 
-    The integral over [0, U(z)] is mapped to s in [0, 1] by w = U(z) s,
-    so every z shares one panel tree and each panel is one kernel call
-    on an (m, 15) grid.  Returns (values, err_estimates) as arrays.
+    The integrand is a(w) + z b(w), with a and b free of z.  The sorted
+    distinct upper limits U_1 < ... < U_K (U_0 = 0) cut [0, U_K] into
+    pieces, each mapped to s in [0, 1], and the row of z_j with
+    U(z_j) = U_i is the sum over pieces l <= i of
+    (a + z_j b)(U_(l-1) + (U_l - U_(l-1)) s) (U_l - U_(l-1)), whose
+    integral over s is exactly Psi(z_j).  Every z shares one panel tree,
+    each row meets its own tolerance, and each panel round is one kernel
+    call on a (K, 15 P) grid.  Returns (values, err_estimates) as arrays.
     """
-    zs = np.asarray(zs, dtype=float)[:, None]
+    zs = np.asarray(zs, dtype=float)
     upper = (zs + np.sqrt(zs * zs + 1.0 - ps.alpha ** 2)) / (1.0 - ps.alpha)
+    ends, piece = np.unique(upper, return_inverse=True)
+    starts = np.concatenate([[0.0], ends[:-1]])[:, None]
+    widths = ends[:, None] - starts
     kern = backend.get_backend()
 
     def f(s):
-        return kern.psi_integrand_batch(upper * s, ps.r, zs, ps.n) * upper
+        a, b = np.cumsum(kern.psi_integrand_parts(starts + widths * s, ps.r, ps.n)
+                         * widths, axis=1)
+        return a[piece] + zs[:, None] * b[piece]
 
     return adaptive_quad(f, 0.0, 1.0, q)
 
@@ -285,9 +309,9 @@ def c_numeric(p, ps, q=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
     representation; oracle pair of c_closed for n = 4.
 
     The inner profile values Psi(+-z t) are integrals too, in every
-    dimension: at each outer panel the 30 of them at its 15 t nodes go
-    through one vector-mode quadrature at a tenth of the outer
-    tolerance.  No closed form is used, so for n = 4 this is a check of
+    dimension: each outer round splits P panels, and the 30 P of them at
+    its 15 P t nodes go through one vector-mode quadrature at a tenth of
+    the outer tolerance.  No closed form is used, so for n = 4 this is a check of
     c_closed that shares no code with it.
 
     The outer rule follows the parity of n.  For even n the weight

@@ -387,11 +387,29 @@ def test_real_input_stays_float64_without_a_copy():
     z = np.linspace(0.0, 2.0, 5)
     terms = _c_terms(r, z)
     assert terms[0] is r and terms[1] is z
-    for rr, zz in ((r, z), (0.5, 0.7), (np.float32(0.5), np.array([0, 2]))):
+    for rr, zz in ((r, z), (0.5, 0.7), (np.float32(0.5), np.array([0, 2])),
+                   ([0.5, 0.6], [0.7, 1.0])):
         values = [f(rr, zz) for f in ARRAY_FORMS_RZ]
         values += list(_c_components_arr(rr, zz))
         values += [f(rr) for f in ARRAY_FORMS_R]
         assert all(np.asarray(v).dtype == np.float64 for v in values), (rr, zz)
+
+
+def test_gradient_bound_arr_casts_without_a_copy(monkeypatch):
+    """A list gives the array result; a float64 array reaches frak_c as
+    the same object."""
+    seen = []
+    frak_c_arr = closedform4._frak_c_arr
+
+    def spy(r):
+        seen.append(r)
+        return frak_c_arr(r)
+
+    monkeypatch.setattr(closedform4, "_frak_c_arr", spy)
+    r = np.array([0.5, 0.6])
+    assert np.array_equal(_gradient_bound_arr([0.5, 0.6]), _gradient_bound_arr(r))
+    assert isinstance(seen[0], np.ndarray) and seen[0].dtype == np.float64
+    assert seen[1] is r
 
 
 def test_scalar_wrappers_return_floats():

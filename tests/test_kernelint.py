@@ -186,6 +186,116 @@ def test_adaptive_quad_one_integral_is_a_one_row_batch():
     assert type(exc.value.err_estimate) is float
 
 
+# ---- breadth-first refinement ---------------------------------------------
+
+# outermost Kronrod node: a panel of width 2h spans 2 h X0 between its
+# first and last abscissae
+X0 = 0.991455371120812639206854697526329
+
+
+def _panel_tree(calls):
+    """Panels evaluated by each integrand call on [0, 1], as (lo, hi).
+
+    Every 15 abscissae are one panel: the middle one is its centre, and
+    its width is a power of two, so lo and hi come back exactly.
+    """
+    rounds = []
+    for x in calls:
+        nodes = x.reshape(-1, 15)
+        half = 2.0 ** np.rint(np.log2((nodes[:, 14] - nodes[:, 0]) / (2.0 * X0)))
+        rounds.append(list(zip((nodes[:, 7] - half).tolist(),
+                               (nodes[:, 7] + half).tolist())))
+    return rounds
+
+
+def _recorded(f, calls):
+    def g(x):
+        calls.append(np.array(x))
+        return f(x)
+    return g
+
+
+def _check_tree(calls):
+    """Each call splits panels of earlier calls into both halves; no panel
+    is evaluated twice.  Returns the final panels in position order."""
+    assert all(x.ndim == 1 and x.size % 15 == 0 for x in calls)
+    rounds = _panel_tree(calls)
+    assert rounds[0] == [(0.0, 1.0)]
+    evaluated = {(0.0, 1.0)}
+    leaves = {(0.0, 1.0)}
+    for panels in rounds[1:]:
+        assert len(panels) % 2 == 0
+        for left, right in zip(panels[::2], panels[1::2]):
+            assert left[1] == right[0]
+            parent = (left[0], right[1])
+            assert parent in leaves  # split once, from an earlier round
+            leaves.remove(parent)
+            leaves.update((left, right))
+        assert not evaluated & set(panels)
+        evaluated.update(panels)
+    leaves = sorted(leaves)
+    assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+    assert leaves[0][0] == 0.0 and leaves[-1][1] == 1.0
+    assert len(evaluated) == 2 * len(leaves) - 1
+    return leaves
+
+
+def _hard(x):
+    return np.stack([np.exp(-x) * np.sin(50.0 * x),
+                     1.0 / (1e-3 + (x - 0.3) ** 2), x * x])
+
+
+def test_adaptive_quad_evaluates_each_round_in_one_call():
+    calls = []
+    adaptive_quad(_recorded(_hard, calls), 0.0, 1.0, QuadratureSpec())
+    leaves = _check_tree(calls)
+    assert len(calls) > 2 and any(x.size > 30 for x in calls)
+    # perfbench/layertrace counts panels from the abscissae this way
+    assert (sum(x.size for x in calls) // 15 + 1) // 2 == len(leaves)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, 37])
+def test_adaptive_quad_stops_at_exactly_max_subdivisions(budget):
+    def f(x):
+        return np.stack([x * x, np.maximum(x, 1e-300) ** -0.99, np.sin(x)])
+
+    q = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=budget)
+    calls = []
+    with pytest.raises(QuadratureError,
+                       match=rf"after {budget} panels in components \[1\]"):
+        adaptive_quad(_recorded(f, calls), 0.0, 1.0, q)
+    assert len(_check_tree(calls)) == budget
+
+
+def _psi_per_z(z, ps, q):
+    # the integrand mapped to s in [0, 1] by w = U(z) s, one quadrature per z
+    n, beta, k = ps.n, ps.beta, ps.k
+    upper = (z + math.sqrt(z * z + 1.0 - ps.alpha ** 2)) / (1.0 - ps.alpha)
+
+    def f(s):
+        w = upper * s
+        w2 = w * w
+        return (n - beta + n * z * w - beta * w2) * w ** (n - 2) * upper \
+            / ((1.0 + w2) ** (n / 2.0 + 1.0) * (1.0 + k * k * w2) ** (n / 2.0 - 1.0))
+
+    return adaptive_quad(f, 0.0, 1.0, q)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.95])
+def test_psi_numeric_arr_matches_one_quadrature_per_z(n, r):
+    """The running sums over the sorted upper limits integrate to each
+    Psi(z), every one within its own tolerance."""
+    ps = ParamSet.from_radius(r, n)
+    zs = np.array([0.7, -0.7, 0.0, 2.5, 0.7, -50.0, 0.0, 50.0, -0.03, 2.5])
+    q = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)  # psi_numeric's default
+    vals, errs = _psi_numeric_arr(zs, ps, q)
+    refs = np.array([_psi_per_z(z, ps, q)[0] for z in zs.tolist()])
+    assert np.all(np.abs(vals - refs) <= 1e-13 * np.abs(refs))
+    assert np.all(errs <= np.maximum(q.abs_tol, q.rel_tol * np.abs(vals)))
+    assert vals[0] == vals[4] and vals[2] == vals[6]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("r", [0.1, 0.6, 0.95])
 def test_psi_numeric_arr_agrees_with_scalar_loop(n, r):
@@ -203,12 +313,14 @@ def test_psi_numeric_arr_agrees_with_scalar_loop(n, r):
 
 
 def test_partial_fractions_match_integrand():
-    """Eight-term decomposition == direct rational integrand (n = 4)."""
+    """Eight-term decomposition == a + z b, the integrand's two z-free
+    parts (n = 4)."""
     rng = np.random.default_rng(42)
     r, z, w = rng.uniform((0.02, 0.0, 0.0), (0.98, 5.0, 8.0), (300, 3)).T
-    a = get_backend().psi_integrand_batch(w, r, z, 4)
-    b = q_partial_fractions(w, r, z)
-    assert np.all(np.abs(a - b) <= 1e-11 * (1.0 + np.abs(a)))
+    a, b = get_backend().psi_integrand_parts(w, r, 4)
+    direct = a + z * b
+    ref = q_partial_fractions(w, r, z)
+    assert np.all(np.abs(direct - ref) <= 1e-11 * (1.0 + np.abs(direct)))
 
 
 # ---- psi_numeric vs the closed form ---------------------------------------
@@ -309,8 +421,8 @@ def test_c_numeric_odd_dimension_matches_the_oracle_at_the_axis(n, r):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_c_numeric_outer_panel_budget(monkeypatch, n):
-    """Every outer panel makes one batched profile quadrature; a smooth
-    outer integrand needs few of them in every dimension."""
+    """Every outer round makes one batched profile quadrature; a smooth
+    outer integrand needs few rounds in every dimension."""
     calls = []
     original = kernelint._psi_numeric_arr
 
@@ -322,4 +434,4 @@ def test_c_numeric_outer_panel_budget(monkeypatch, n):
     for r, z in [(0.05, 0.0), (0.5, 0.7), (0.9, 2.0), (0.3, 2.5), (0.95, 6.0)]:
         calls.clear()
         c_numeric(EvalPoint(r, z), ParamSet.from_radius(r, n))
-        assert len(calls) <= 11, (r, z, len(calls))
+        assert len(calls) <= 6, (r, z, len(calls))
