@@ -36,7 +36,7 @@ from .closedform4 import (SERIES_R_THRESHOLD, EvalPoint, _c_at_zero_arr,
                           _c_closed_arr, _frak_c_arr, _gradient_bound_arr,
                           disk_constant, frak_c, gradient_bound)
 from .exceptions import EvaluationError, QuadratureError
-from .kernelint import ParamSet, QuadratureSpec, c_numeric
+from .kernelint import ParamSet, c_numeric
 from .poisson_oracle import (DirectionalQuery, SphereQuadrature,
                              directional_constant_with_error, kernel_mass,
                              poisson_gradient, poisson_kernel)
@@ -253,9 +253,9 @@ def _sup_reports(args):
             tol, note = math.inf, "exploratory: maximizer reported, not judged"
         reports.append(proofcheck.VerificationReport(
             case_name=f"sup_n{n}_r{r:.2f}",
-            sample_desc="512-point log grid + golden section",
+            sample_desc="512-point log grid",
             worst_violation=worst, worst_location=(float(r), res.z_star),
-            tolerance=tol, passed=ok, method="golden_section",
+            tolerance=tol, passed=ok, method="log_grid",
             note=note))
     return reports
 
@@ -341,7 +341,7 @@ def cmd_verify(args, argv):
         tags = ["grid_sweep"]
     elif args.suite == "sup":
         reports = _sup_reports(args)
-        tags = ["golden_section"]
+        tags = ["log_grid"]
     elif args.suite == "conjecture":
         sq = _sphere_quadrature(args)
         r_grid = np.linspace(0.05, 0.95, args.r_steps)

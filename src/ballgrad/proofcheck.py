@@ -20,10 +20,9 @@ Inequality registry (13 cases)::
     chain_step2, chain_step3, chain_step4, markovic_consistency
 
 ``DERIVATIVE_SUITE`` names the nine differentiation checks that
-constitute the core antiderivative verification.  ``locate_sup`` runs
-the sup-location search (grid seed + golden section) and
-``conjecture_report`` aggregates the direction-profile sweep against the
-spherical oracle.
+constitute the core antiderivative verification.  ``locate_sup`` takes
+the argmax of C(., r) on a log grid, and ``conjecture_report``
+aggregates the direction-profile sweep against the spherical oracle.
 """
 
 import functools
@@ -34,12 +33,12 @@ from typing import Optional
 
 import numpy as np
 
-from .closedform4 import (EvalPoint, _atan_den, _c_at_zero_arr, _c_closed_arr,
+from .closedform4 import (_atan_den, _c_at_zero_arr, _c_closed_arr,
                           _c_terms, _envelope_g1_arr, _envelope_L_arr,
                           _frak_c_arr, _gradient_bound_arr, _h1, _h2,
                           _h3, _psi_closed_arr, _sqrt_s, _v_certificate_arr)
 from .exceptions import EvaluationError
-from .kernelint import ParamSet, QuadratureSpec, c_numeric, q_partial_fractions
+from .kernelint import q_partial_fractions
 from .poisson_oracle import SphereQuadrature, best_direction
 
 _COMPLEX_STEP = 1e-30  # h in f'(x) = Im f(x + ih) / h: nothing cancels
@@ -617,57 +616,21 @@ def run_inequality_suite(tolerance=1e-12):
 # ---------------------------------------------------------------------------
 
 SupResult = namedtuple("SupResult", ["z_star", "c_star"])
-_SUP_Z_MAX = 6.0  # initial right edge of the search window
-_SUP_QUADRATURE = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)  # n != 4
-
-
-def _golden_max(f, a, b, rel_tol=1e-12, max_iter=200):
-    """Golden-section maximum of ``f`` on each bracket [a_k, b_k].
-
-    ``f(rows, x)`` evaluates bracket ``rows[j]``'s function at ``x[j]``.
-    Every bracket runs its own scalar recurrence, in lockstep with the
-    others: the same update and the same stop test b - a <= rel_tol
-    (1 + |a| + |b|), so it visits the points that a search of that
-    bracket alone would visit.  Each step evaluates only the brackets
-    that have not yet converged.  Returns the midpoints and their values.
-    """
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    rows = np.arange(a.size)
-    c = b - g * (b - a)
-    d = a + g * (b - a)
-    fc, fd = f(rows, c), f(rows, d)
-    for _ in range(max_iter):
-        live = np.flatnonzero(b - a > rel_tol * (1.0 + np.abs(a) + np.abs(b)))
-        if live.size == 0:
-            break
-        left = fc[live] >= fd[live]
-        lo, hi = live[left], live[~left]
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - g * (b[lo] - a[lo])
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + g * (b[hi] - a[hi])
-        y = f(live, np.where(left, c[live], d[live]))
-        fc[lo], fd[hi] = y[left], y[~left]
-    x = 0.5 * (a + b)
-    return x, f(rows, x)
+_SUP_Z_MAX = 6.0  # right edge of the seed grid
 
 
 def locate_sup(r, n=4, grid_points=512):
-    """Maximize z -> C(z, r): log-grid seed + golden-section refinement.
+    """Maximize z -> C(z, r) over the log grid [0] + geomspace(1e-8, 6).
 
-    ``r`` is one radius or a 1-D array of radii, searched together: a
-    scalar gives one ``SupResult`` of floats, an array a list of them,
-    one per radius, in order.  Every radius must lie in (0, 1).  For
-    n = 4 the profile comes from the closed form, so the seed grids of
-    all radii are one array call and each golden-section step one call
-    for the radii still refining; otherwise it comes from the quadrature
-    representation, one call per point.  The profile does not decay --
-    it levels off at the tangential-direction value as z grows -- so a
-    radius's search window [0, 6] is doubled only while its grid argmax
-    keeps landing on the right edge, meaning the maximum might still lie
-    beyond it.
+    ``r`` is one radius or a 1-D array of radii: a scalar gives one
+    ``SupResult`` of floats, an array a list of them, one per radius, in
+    order.  Every radius must lie in (0, 1).  Each radius reports its
+    grid argmax.  For n = 4 the profiles of all radii come from one
+    closed-form call; otherwise each radius's profile is
+    (1 - r) C_oracle(n, r, arctan z), one ``best_direction`` call.  The
+    profile does not decay -- it levels off at the tangential-direction
+    value as z grows -- so an argmax on the grid's right edge means the
+    maximum might lie beyond it, and raises ``EvaluationError``.
     """
     radii = np.asarray(r, dtype=float)
     scalar = radii.ndim == 0
@@ -678,50 +641,21 @@ def locate_sup(r, n=4, grid_points=512):
         if not 0.0 < rk < 1.0:
             raise ValueError(f"r must lie in (0, 1), got {rk}")
 
-    # profile(rows, zs): C(zs[j], r[rows[j]]) for zs of shape (p,) or (rows, p)
+    grid = np.concatenate([[0.0], np.geomspace(1e-8, _SUP_Z_MAX, grid_points - 1)])
     if n == 4:
-        def profile(rows, zs):
-            return _c_closed_arr(radii[rows, None], zs)
+        vals = _c_closed_arr(radii[:, None], grid)
     else:
-        params = [ParamSet.from_radius(float(rk), n) for rk in radii]
-
-        def profile(rows, zs):
-            zs = np.broadcast_to(zs, (len(rows), zs.shape[-1]))
-            return np.array([c_numeric(EvalPoint(float(radii[k]), float(z)),
-                                       params[k], _SUP_QUADRATURE)[0]
-                             for k, zk in zip(rows, zs) for z in zk]
-                            ).reshape(zs.shape)
-
-    def point(rows, x):
-        return profile(rows, x[:, None])[:, 0]
-
-    m = radii.size
-    zs = np.empty((m, grid_points))
-    vals = np.empty((m, grid_points))
-    pending = np.arange(m)
-    z_max = _SUP_Z_MAX
-    for _ in range(20):
-        grid = np.concatenate([[0.0], np.geomspace(1e-8, z_max, grid_points - 1)])
-        zs[pending] = grid
-        vals[pending] = profile(pending, grid)
-        pending = pending[np.argmax(vals[pending], axis=1) + 2 >= grid_points]
-        if pending.size == 0:
-            break
-        z_max *= 2.0
-    else:
-        raise EvaluationError(f"maximum of C(., {radii[pending[0]]}) keeps "
-                              f"running past z = {z_max}")
-
-    rows = np.arange(m)
+        thetas = np.arctan(grid)
+        vals = np.array([[(1.0 - rk) * v
+                          for _, v in best_direction(n, rk, thetas).profile]
+                         for rk in radii.tolist()])
     i = np.argmax(vals, axis=1)
-    lo = np.where(i > 0, zs[rows, i - 1], 0.0)
-    z_star, c_star = _golden_max(point, lo, zs[rows, i + 1])
-    # never report worse than the best grid value
-    keep = vals[rows, i] >= c_star
-    z_star = np.where(keep, zs[rows, i], z_star)
-    c_star = np.where(keep, vals[rows, i], c_star)
-    results = [SupResult(z_star=float(z), c_star=float(c))
-               for z, c in zip(z_star, c_star)]
+    edge = radii[i == grid_points - 1]
+    if edge.size:
+        raise EvaluationError(f"maximum of C(., {edge[0]}) keeps running "
+                              f"past z = {_SUP_Z_MAX}")
+    results = [SupResult(z_star=float(grid[k]), c_star=float(c))
+               for k, c in zip(i, vals[np.arange(radii.size), i])]
     return results[0] if scalar else results
 
 

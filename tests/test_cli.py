@@ -450,14 +450,14 @@ def _report(**fields):
     return VerificationReport(**{
         "case_name": "sup_n4_r0.50", "sample_desc": "512-point log grid",
         "worst_violation": -1.5e-16, "worst_location": (0.5, 0.0),
-        "tolerance": 1e-9, "passed": True, "method": "golden_section",
+        "tolerance": 1e-9, "passed": True, "method": "log_grid",
         **fields})
 
 
 def _manifest(wall_time):
     return RunManifest(tool_version="1.0", command_line=["verify", "sup"],
                        tolerances={"identities": 1e-7}, seed=20220417,
-                       method_tags=["golden_section"], wall_time=wall_time)
+                       method_tags=["log_grid"], wall_time=wall_time)
 
 
 @pytest.mark.parametrize("obj", [

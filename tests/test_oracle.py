@@ -26,6 +26,7 @@ from ballgrad import (
 )
 from ballgrad import _kernels_py, poisson_oracle
 from ballgrad._kernels_py import grad_dot_batch
+from ballgrad.closedform4 import _c_closed_arr
 from ballgrad.kernelint import ParamSet, QuadratureSpec, c_numeric, sphere_area
 from ballgrad.poisson_oracle import (
     _gauss_legendre,
@@ -79,6 +80,30 @@ def test_radial_direction_matches_quadrature(n):
     val, _ = c_numeric(EvalPoint(r, 0.0), ParamSet.from_radius(r, n),
                        QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
     assert abs(got - val / (1.0 - r)) / got < 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_profile_quadrature_is_the_oracle_at_arctan_z(n):
+    """C(z, r) = (1 - r) C_oracle(n, r, arctan z) off the axis: the
+    profile-integral quadrature against the exact-azimuth oracle, the
+    profile ``locate_sup`` maximizes for n != 4."""
+    zs = [0.0, 0.3, 1.0, 3.0, 10.0]
+    for r in (0.1, 0.5, 0.9):
+        profile = best_direction(n, r, np.arctan(zs)).profile
+        for z, (_, value) in zip(zs, profile):
+            c, _ = c_numeric(EvalPoint(r, z), ParamSet.from_radius(r, n))
+            assert abs(c - (1.0 - r) * value) <= 1e-13 * c, (r, z)
+
+
+@pytest.mark.parametrize("r", [0.05, 0.3, 0.5, 0.9, 0.99])
+def test_closed_form_is_the_oracle_off_the_axis(r):
+    """The n = 4 closed form C(tan theta, r) against (1 - r) times the
+    oracle's direction profile, up to theta = 0.999 pi/2."""
+    thetas = np.linspace(0.0, 0.999 * math.pi / 2.0, 50)
+    oracle = (1.0 - r) * np.array([v for _, v in
+                                   best_direction(4, r, thetas).profile])
+    closed = _c_closed_arr(r, np.tan(thetas))
+    assert np.max(np.abs(closed - oracle) / oracle) <= 1e-12
 
 
 @pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])
