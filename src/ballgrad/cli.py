@@ -13,11 +13,18 @@ takes only the options it reads and checks their bounds in their types;
 options follow the suite name (``verify sup --r-steps 5``).  The parser
 is built once per process, on the first call of ``main``.
 
+Every command writes its result through ``_write``: the JSON document
+``{"manifest": ..., "reports": [...]}`` goes to --out, or to stdout
+under --json; without --json the text goes to stdout.  ``curve``'s CSV
+is the one other output, with its manifest in a sidecar.  The reports
+and verdicts of the verify suites are proofcheck's; this module maps
+options to grids, tags and tolerances.
+
 Exit codes: 0 pass, 1 verified violation, 2 usage error, 3 numerical
 failure.  All numbers print with 17 significant digits so text output
-round-trips through the JSON reports.  JSON output is byte-identical
-across runs on one host for a fixed command line and seed once timing
-is suppressed with --no-timing.
+round-trips through the JSON reports.  JSON output is standard JSON (no
+NaN or Infinity) and byte-identical across runs on one host for a fixed
+command line and seed once timing is suppressed with --no-timing.
 """
 
 import argparse
@@ -26,8 +33,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import fields
 
 import numpy as np
 
@@ -38,8 +44,7 @@ from .closedform4 import (SERIES_R_THRESHOLD, EvalPoint, _c_at_zero_arr,
 from .exceptions import EvaluationError, QuadratureError
 from .kernelint import ParamSet, c_numeric
 from .poisson_oracle import (DirectionalQuery, SphereQuadrature,
-                             directional_constant_with_error, kernel_mass,
-                             poisson_gradient, poisson_kernel)
+                             directional_constant_with_error)
 from . import proofcheck
 
 _EXIT_PASS = 0
@@ -61,18 +66,6 @@ _TOL_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance header embedded in (or accompanying) every output."""
-
-    tool_version: str
-    command_line: list
-    tolerances: dict
-    seed: int
-    method_tags: list
-    wall_time: Optional[float]
-
-
 class UsageError(Exception):
     pass
 
@@ -88,26 +81,36 @@ def _field_dict(obj):
 
 
 def _manifest(args, argv, tols, tags, t0):
-    wall = None if args.no_timing else time.perf_counter() - t0
-    return RunManifest(tool_version=__version__, command_line=list(argv),
-                       tolerances=tols, seed=args.seed,
-                       method_tags=sorted(set(tags)), wall_time=wall)
+    """The provenance header of every output."""
+    return {"tool_version": __version__, "command_line": list(argv),
+            "tolerances": tols, "seed": args.seed,
+            "method_tags": sorted(set(tags)),
+            "wall_time": None if args.no_timing else time.perf_counter() - t0}
 
 
-def _emit_json(payload, out):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(args, argv, t0, tols, tags, reports, text):
+    """Write a command's result: the JSON document, standard JSON, goes
+    to --out, or to stdout under --json; without --json, ``text()`` goes
+    to stdout.  The manifest is built, and ``text`` called, only when
+    written."""
+    if args.json or args.out:
+        doc = json.dumps({"manifest": _manifest(args, argv, tols, tags, t0),
+                          "reports": reports},
+                         sort_keys=True, indent=2, allow_nan=False) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(doc)
+        else:
+            sys.stdout.write(doc)
+    if not args.json:
+        print(text())
 
 
 def _emit_csv(header, rows, manifest, out):
     lines = [header + "\n"]
     lines += [",".join(_fmt(x) for x in row) + "\n" for row in rows]
     body = "".join(lines)
-    mtext = json.dumps({"manifest": _field_dict(manifest)}, sort_keys=True,
+    mtext = json.dumps({"manifest": manifest}, sort_keys=True,
                        indent=2) + "\n"
     if out:
         with open(out, "w", newline="") as fh:
@@ -176,19 +179,13 @@ def cmd_constant(args, argv):
         gb = c0 / (1.0 - r)
         tag = "quadrature_exploratory"
 
-    manifest = _manifest(args, argv, {}, [tag], t0)
     record = {"r": r, "n": n, "frak_c": fc, "c_at_zero": c0,
               "gradient_bound": gb, "method": tag}
-    if args.json:
-        _emit_json({"manifest": _field_dict(manifest), "reports": [record]},
-                   args.out)
-    else:
-        lines = [f"r = {_fmt(r)}  n = {n}  [{tag}]",
-                 f"frak_c         = {_fmt(fc)}",
-                 f"c_at_zero      = {_fmt(c0)}",
-                 "gradient_bound = "
-                 + ("unbounded" if gb is None else _fmt(gb))]
-        print("\n".join(lines))
+    _write(args, argv, t0, {}, [tag], [record], lambda: "\n".join([
+        f"r = {_fmt(r)}  n = {n}  [{tag}]",
+        f"frak_c         = {_fmt(fc)}",
+        f"c_at_zero      = {_fmt(c0)}",
+        "gradient_bound = " + ("unbounded" if gb is None else _fmt(gb))]))
     return _EXIT_PASS
 
 
@@ -222,106 +219,19 @@ def cmd_curve(args, argv):
         header = "r,value"
     rows = list(zip(grid, values))
 
-    manifest = _manifest(args, argv, {}, ["closed_form"], t0)
     if args.json:
-        payload = {"manifest": _field_dict(manifest),
-                   "reports": [{"quantity": args.quantity, "header": header,
-                                "rows": [[float(a), float(b)] for a, b in rows]}]}
-        _emit_json(payload, args.out)
+        record = {"quantity": args.quantity, "header": header,
+                  "rows": [[float(a), float(b)] for a, b in rows]}
+        _write(args, argv, t0, {}, ["closed_form"], [record], None)
     else:
-        _emit_csv(header, rows, manifest, args.out)
+        _emit_csv(header, rows, _manifest(args, argv, {}, ["closed_form"], t0),
+                  args.out)
     return _EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-def _sup_reports(args):
-    n = args.n
-    radii = np.linspace(0.05, 0.95, args.r_steps)
-    # the n = 4 sup must equal C(0, r): one array call for all radii
-    c0s = _c_at_zero_arr(radii).tolist() if n == 4 else [None] * radii.size
-    reports = []
-    for r, c0, res in zip(radii, c0s, proofcheck.locate_sup(radii, n=n)):
-        if n == 4:
-            ok = res.z_star <= 1e-4 and res.c_star <= c0 * (1.0 + 1e-9)
-            worst = res.c_star / c0 - 1.0
-            tol, note = 1e-9, "sup of C(., r) must sit at z = 0"
-        else:
-            ok, worst = True, 0.0
-            tol, note = math.inf, "exploratory: maximizer reported, not judged"
-        reports.append(proofcheck.VerificationReport(
-            case_name=f"sup_n{n}_r{r:.2f}",
-            sample_desc="512-point log grid",
-            worst_violation=worst, worst_location=(float(r), res.z_star),
-            tolerance=tol, passed=ok, method="log_grid",
-            note=note))
-    return reports
-
-
-def _oracle_reports(args, tol):
-    """The oracle self-tests.  The oracle's values are judged against
-    the known constants by fixed tolerances under the product rule, and
-    under Monte Carlo within proofcheck._MC_FLAT_SIGMAS of their standard
-    errors, which each report records as its tolerance."""
-    sq = _sphere_quadrature(args)
-    sigmas = proofcheck._MC_FLAT_SIGMAS if sq.method == "monte_carlo" else None
-    reports = []
-
-    dev = max(abs(kernel_mass(r, args.n) - 1.0) for r in (0.0, 0.3, 0.6, 0.9))
-    reports.append(proofcheck.VerificationReport(
-        case_name="kernel_mass", sample_desc="r in {0, 0.3, 0.6, 0.9}",
-        worst_violation=dev, worst_location=(), tolerance=1e-8,
-        passed=dev <= 1e-8, seed=args.seed, method="gauss_legendre",
-        note=f"normalized kernel integrates to 1 (n={args.n})"))
-
-    rng = np.random.Generator(np.random.Philox(args.seed))
-    worst_fd = 0.0
-    for _ in range(5):
-        x = 0.6 * rng.standard_normal(args.n)
-        x *= 0.7 / max(1.0, np.linalg.norm(x) / 0.7)
-        zeta = rng.standard_normal(args.n)
-        zeta /= np.linalg.norm(zeta)
-        g = poisson_gradient(x, zeta, args.n)
-        h = 6e-6
-        for i in range(args.n):
-            e = np.zeros(args.n)
-            e[i] = h
-            fd = (poisson_kernel(x + e, zeta, args.n)
-                  - poisson_kernel(x - e, zeta, args.n)) / (2.0 * h)
-            worst_fd = max(worst_fd, abs(g[i] - fd) / (1.0 + abs(fd)))
-    reports.append(proofcheck.VerificationReport(
-        case_name="gradient_vs_fd", sample_desc="5 random (x, zeta) pairs",
-        worst_violation=float(worst_fd), worst_location=(), tolerance=1e-8,
-        passed=bool(worst_fd <= 1e-8), seed=args.seed, method="central_fd",
-        note="analytic kernel gradient against finite differences"))
-
-    v, se = directional_constant_with_error(DirectionalQuery(2, 0.0, 0.0), sq)
-    dev2 = abs(v - 4.0 / math.pi)
-    tol2 = 1e-8 if sigmas is None else sigmas * se
-    reports.append(proofcheck.VerificationReport(
-        case_name="disk_center", sample_desc="n=2, r=0, theta=0",
-        worst_violation=dev2, worst_location=(), tolerance=tol2,
-        passed=dev2 <= tol2, seed=args.seed, method=sq.method,
-        note="classical disk constant 4/pi at the center"))
-
-    # (relative deviation, its tolerance, r); the worst exceeds its
-    # tolerance by the most
-    cases = []
-    radii = (0.1, 0.3, 0.5, 0.7, 0.9)
-    for r, ref in zip(radii, _gradient_bound_arr(np.array(radii)).tolist()):
-        v, se = directional_constant_with_error(DirectionalQuery(4, r, 0.0), sq)
-        cases.append((abs(v - ref) / ref,
-                      tol if sigmas is None else sigmas * se / ref, r))
-    worst_cmp, tol_cmp, r = max(cases, key=lambda c: c[0] - c[1])
-    reports.append(proofcheck.VerificationReport(
-        case_name="oracle_vs_closed_n4", sample_desc="r in {0.1,...,0.9}",
-        worst_violation=worst_cmp, worst_location=(r,), tolerance=tol_cmp,
-        passed=worst_cmp <= tol_cmp, seed=args.seed, method=sq.method,
-        note="spherical quadrature against the closed-form bound"))
-    return reports
-
 
 def cmd_verify(args, argv):
     t0 = time.perf_counter()
@@ -340,7 +250,8 @@ def cmd_verify(args, argv):
         reports = proofcheck.run_inequality_suite(tolerance=tols["inequalities"])
         tags = ["grid_sweep"]
     elif args.suite == "sup":
-        reports = _sup_reports(args)
+        reports = proofcheck.sup_reports(args.n,
+                                         np.linspace(0.05, 0.95, args.r_steps))
         tags = ["log_grid"]
     elif args.suite == "conjecture":
         sq = _sphere_quadrature(args)
@@ -349,20 +260,16 @@ def cmd_verify(args, argv):
         reports = [proofcheck.conjecture_report(args.n, r_grid, theta_grid, sq)]
         tags = [sq.method]
     else:  # oracle
-        reports = _oracle_reports(args, tols["oracle_vs_closed"])
+        reports = proofcheck.oracle_reports(args.n, _sphere_quadrature(args),
+                                            tols["oracle_vs_closed"])
         tags = [args.method.replace("-", "_"), "central_fd"]
 
-    manifest = _manifest(args, argv, tols, tags, t0)
-    payload = {"manifest": _field_dict(manifest),
-               "reports": [_field_dict(rep) for rep in reports]}
-    if args.json or args.out:
-        _emit_json(payload, args.out)
-    if not args.json:
-        for rep in reports:
-            status = "PASS" if rep.passed else "FAIL"
-            print(f"{status} {rep.case_name}: worst={_fmt(rep.worst_violation)}"
-                  f" tol={_fmt(rep.tolerance)}")
-
+    _write(args, argv, t0, tols, tags, [_field_dict(rep) for rep in reports],
+           lambda: "\n".join(
+               f"{'PASS' if rep.passed else 'FAIL'} {rep.case_name}: "
+               f"worst={_fmt(rep.worst_violation)} tol="
+               + ("none" if rep.tolerance is None else _fmt(rep.tolerance))
+               for rep in reports))
     return _EXIT_PASS if all(rep.passed for rep in reports) else _EXIT_VIOLATION
 
 
@@ -379,15 +286,11 @@ def cmd_oracle(args, argv):
     sq = _sphere_quadrature(args)
     q = DirectionalQuery(n=args.n, r=args.r, theta=args.theta)
     value, err = directional_constant_with_error(q, sq)
-    manifest = _manifest(args, argv, {}, [sq.method], t0)
     record = {"n": args.n, "r": args.r, "theta": args.theta,
               "value": value, "error": err, "method": sq.method}
-    if args.json:
-        _emit_json({"manifest": _field_dict(manifest), "reports": [record]},
-                   args.out)
-    else:
-        print(f"C(n={args.n}, r={_fmt(args.r)}, theta={_fmt(args.theta)})"
-              f" = {_fmt(value)}  (error ~ {_fmt(err)})")
+    _write(args, argv, t0, {}, [sq.method], [record], lambda: (
+        f"C(n={args.n}, r={_fmt(args.r)}, theta={_fmt(args.theta)})"
+        f" = {_fmt(value)}  (error ~ {_fmt(err)})"))
     return _EXIT_PASS
 
 

@@ -364,17 +364,16 @@ def directional_constant_vector(x, v, sq=SphereQuadrature()):
 class BestDirection:
     theta_star: float
     profile: tuple
-    conjecture_violation: bool
     allowance: float
 
 
 def best_direction(n, r, theta_grid, sq=SphereQuadrature()):
     """Maximize the direction profile over a theta grid.
 
-    Returns the grid argmax, the full (theta, value) profile, the error
-    allowance used, and a violation flag raised when some interior angle
-    beats theta = 0 by more than that allowance (the sum of the
-    quadrature error proxies at theta = 0 and at the argmax).
+    Returns the grid argmax, the full (theta, value) profile and the
+    error allowance: the sum of the quadrature error proxies at theta = 0
+    and at the argmax.  The verdict on the profile is
+    ``proofcheck.conjecture_report``'s.
     """
     thetas = [float(t) for t in theta_grid]
     if not thetas:
@@ -401,9 +400,8 @@ def best_direction(n, r, theta_grid, sq=SphereQuadrature()):
                               [values[i] for i in at], sq)
     err = dict(zip(at, errs))
     allowance = err[zero] + err[star] + 1e-9
-    violation = any(v > values[zero] + allowance for t, v in profile if t != 0.0)
     return BestDirection(theta_star=thetas[star], profile=profile,
-                         conjecture_violation=violation, allowance=allowance)
+                         allowance=allowance)
 
 
 def extremal_check(n, r, sq=SphereQuadrature()):

@@ -11,8 +11,7 @@ from pathlib import Path
 import pytest
 
 from ballgrad import poisson_oracle
-from ballgrad.cli import (_DEFAULT_TOLS, RunManifest, _field_dict,
-                          build_parser, main)
+from ballgrad.cli import _DEFAULT_TOLS, _field_dict, build_parser, main
 from ballgrad.closedform4 import (c_at_zero, frak_c, gradient_bound,
                                   sharp_constant_report)
 from ballgrad.proofcheck import VerificationReport
@@ -421,15 +420,52 @@ def test_each_suite_takes_the_options_it_reads(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("identities",), ("lemmas",), ("sup",), ("oracle",),
-    ("conjecture", "--n", "4", "--r-steps", "1", "--theta-steps", "50"),
+    ("verify", "identities"), ("verify", "lemmas"), ("verify", "sup"),
+    ("verify", "oracle"),
+    ("verify", "conjecture", "--n", "4", "--r-steps", "1", "--theta-steps", "50"),
+    ("constant", "--r", "0.5"), ("oracle", "--r", "0.5"),
 ])
 def test_every_suite_takes_the_output_options(capsys, tmp_path, argv):
     out = tmp_path / "report.json"
-    code, _, _ = run_cli(capsys, "verify", *argv, "--json", "--seed", "7",
+    code, _, _ = run_cli(capsys, *argv, "--json", "--seed", "7",
                          "--no-timing", "--out", str(out))
     assert code == 0
     assert json.loads(out.read_text())["manifest"]["seed"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ("constant", "--r", "0.5"), ("oracle", "--r", "0.5"),
+    ("verify", "oracle"),
+])
+def test_out_without_json_writes_the_document_and_prints_the_text(
+        capsys, tmp_path, argv):
+    out = tmp_path / "report.json"
+    _, text, _ = run_cli(capsys, *argv)
+    _, doc, _ = run_cli(capsys, *argv, "--json", "--no-timing")
+    code, printed, _ = run_cli(capsys, *argv, "--no-timing", "--out", str(out))
+    assert code == 0
+    assert printed == text
+    assert json.loads(out.read_text())["reports"] == json.loads(doc)["reports"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not standard JSON: {name}")
+
+
+@pytest.mark.parametrize("argv,case", [
+    (("sup", "--n", "3", "--r-steps", "1"), "sup_n3_r0.05"),
+    (("conjecture", "--n", "5", "--r-steps", "1", "--theta-steps", "3"),
+     "conjecture_n5"),
+])
+def test_exploratory_reports_are_standard_json(capsys, argv, case):
+    """An exploratory report has no tolerance: JSON null and text
+    ``tol=none``, never Infinity, which standard JSON parsers reject."""
+    code, out, _ = run_cli(capsys, "verify", *argv, "--json", "--no-timing")
+    assert code == 0
+    (rep,) = json.loads(out, parse_constant=_reject_constant)["reports"]
+    assert (rep["case_name"], rep["tolerance"], rep["passed"]) == (case, None, True)
+    _, text, _ = run_cli(capsys, "verify", *argv)
+    assert text.startswith(f"PASS {case}: ") and text.endswith(" tol=none\n")
 
 
 def test_verify_byte_determinism(capsys):
@@ -454,21 +490,12 @@ def _report(**fields):
         **fields})
 
 
-def _manifest(wall_time):
-    return RunManifest(tool_version="1.0", command_line=["verify", "sup"],
-                       tolerances={"identities": 1e-7}, seed=20220417,
-                       method_tags=["log_grid"], wall_time=wall_time)
-
-
 @pytest.mark.parametrize("obj", [
     _report(),
     _report(seed=7, worst_location=(), note="seeded"),
     _report(worst_violation=0.0, worst_location=(0.25, 1.75),
             tolerance=math.inf, note="exploratory"),
-    _manifest(None),
-    _manifest(0.125),
-], ids=["report", "report_seeded", "report_inf_tol", "manifest",
-        "manifest_timed"])
+], ids=["report", "report_seeded", "report_inf_tol"])
 def test_field_dict_encodes_as_asdict(obj):
     def dump(payload):
         return json.dumps(payload, sort_keys=True, indent=2)

@@ -28,6 +28,7 @@ from ballgrad import _kernels_py, poisson_oracle
 from ballgrad._kernels_py import grad_dot_batch
 from ballgrad.closedform4 import _c_closed_arr
 from ballgrad.kernelint import ParamSet, QuadratureSpec, c_numeric, sphere_area
+from ballgrad.proofcheck import conjecture_report
 from ballgrad.poisson_oracle import (
     _gauss_legendre,
     _kink_points,
@@ -319,7 +320,7 @@ def test_best_direction_normal_wins():
     grid = np.linspace(0.0, math.pi / 2, 9)
     bd = best_direction(4, 0.6, grid, SQ)
     assert bd.theta_star == 0.0
-    assert not bd.conjecture_violation
+    assert conjecture_report(4, [0.6], grid, SQ).passed
     assert len(bd.profile) == 9
     values = [v for _, v in bd.profile]
     assert values[0] == max(values)

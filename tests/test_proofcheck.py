@@ -452,7 +452,7 @@ def test_verify_sup_makes_few_closed_form_calls(monkeypatch, capsys):
 
     # C(0, r), the value each sup is judged against
     c0_shapes = []
-    original_c0 = cli._c_at_zero_arr
+    original_c0 = proofcheck._c_at_zero_arr
 
     def counted_c0(r):
         c0_shapes.append(np.shape(r))
@@ -460,7 +460,7 @@ def test_verify_sup_makes_few_closed_form_calls(monkeypatch, capsys):
 
     monkeypatch.setattr(closedform4, "_c_closed_arr", counted)
     monkeypatch.setattr(proofcheck, "_c_closed_arr", counted)
-    monkeypatch.setattr(cli, "_c_at_zero_arr", counted_c0)
+    monkeypatch.setattr(proofcheck, "_c_at_zero_arr", counted_c0)
     assert main(["verify", "sup", "--json", "--no-timing"]) == 0
     assert len(json.loads(capsys.readouterr().out)["reports"]) == 19
     assert len(calls) == 1

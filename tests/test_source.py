@@ -2,7 +2,8 @@
 ``ast`` only.
 
 No module other than ``__init__.py`` (which imports to re-export)
-imports a name it never reads.
+imports a name it never reads, and no module reads an underscore
+attribute of another package module it holds as an object.
 """
 
 import ast
@@ -38,3 +39,37 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_name_it_imports(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _private_reads(source):
+    """``module._name`` reads of a module that ``source`` binds by
+    ``from . import module`` or ``from ballgrad import module``, with
+    their lines; dunders are not private."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level == 1 and node.module is None
+                    or node.level == 0 and node.module == "ballgrad")
+               for alias in node.names
+               if (PACKAGE / f"{alias.name}.py").exists()}
+    return sorted((node.lineno, f"{node.value.id}.{node.attr}")
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules
+                  and node.attr.startswith("_")
+                  and not node.attr.startswith("__"))
+
+
+def test_private_read_is_found():
+    source = ("from . import __version__, proofcheck\n"
+              "from .proofcheck import locate_sup\n"
+              "x = proofcheck._MC_FLAT_SIGMAS\n"
+              "y = proofcheck.locate_sup, __version__._private\n")
+    assert _private_reads(source) == [(3, "proofcheck._MC_FLAT_SIGMAS")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_reads_no_private_name_of_another(module):
+    assert _private_reads((PACKAGE / module).read_text()) == []
