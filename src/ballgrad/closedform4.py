@@ -203,14 +203,14 @@ def c_components(p):
     return tuple(float(h) for h in _c_components_arr(p.r, p.z))
 
 
-def _hsum_series(r, z):
-    # h1 + h2 + h3 = c3(z) r^3 + c5(z) r^5 + O(r^7)
+def _c_closed_series(r, z):
+    # h1 + h2 + h3 = c3(z) r^3 + c5(z) r^5 + O(r^7), with r^3 divided out
     z2 = z * z
     opz = 1.0 + z2
     c3 = 8.0 / 3.0 * np.sqrt(opz)
     c5 = (32.0 * z2 ** 4 + 135.0 * z2 ** 3 + 213.0 * z2 ** 2 + 149.0 * z2 + 39.0) \
         / (15.0 * opz ** 3.5)
-    return c3 * r ** 3 + c5 * r ** 5
+    return 2.0 * (1.0 - r) / (math.pi * np.sqrt(opz)) * (c3 + c5 * r * r)
 
 
 def _c_closed_arr(r, z):
@@ -221,9 +221,11 @@ def _c_closed_arr(r, z):
     if np.any(near):
         warnings.warn(f"r={float(np.min(r.real))} below series threshold; "
                       "using series branch", SeriesBranchWarning, stacklevel=2)
+    rc = np.where(near, 1.0, r)  # r^3 underflows to 0 for tiny r
     h1, h2, h3 = _c_components_arr(r, z)
-    hsum = _series_where(near, lambda: _hsum_series(r, z), h1 + h2 + h3)
-    return 2.0 * (1.0 - r) / (math.pi * r ** 3 * np.sqrt(1.0 + z * z)) * hsum
+    direct = 2.0 * (1.0 - r) / (math.pi * rc ** 3 * np.sqrt(1.0 + z * z)) \
+        * (h1 + h2 + h3)
+    return _series_where(near, lambda: _c_closed_series(r, z), direct)
 
 
 def c_closed(p):

@@ -33,9 +33,10 @@ keeps of each row only the two coordinates the kernel reads, zeta_n and
 zeta_1, over |zeta|; the estimate equals that of one (samples, n) draw
 bit for bit.  The sample is cached for the last (n, samples, seed), so
 the angles of one sweep share one draw; the cache holds 16 bytes per
-sample point (3.2 MB at the default 200,000).  The kernel then runs
-block by block on the cached columns, so a query's temporaries stay a
-block's size.
+sample point (3.2 MB at the default 200,000), and a new (n, samples,
+seed) empties it before its draw.  The kernel then runs block by block
+on the cached columns into one |F| array, whose standard error is taken
+in place, so a query's other temporaries stay a block's size.
 """
 
 import functools
@@ -274,10 +275,23 @@ def _product_constant(q, sq):
     return _polar_integrals(q.n, q.r, pieces, sq.nodes_polar)[0]
 
 
-@functools.lru_cache(maxsize=1)
+#: the one cached Monte Carlo sample: {(n, samples, seed): (polar, lateral)}
+_mc_cache = {}
+
+
 def _mc_sample(n, samples, seed):
+    """The sample of ``_mc_draw(n, samples, seed)``, cached for the last
+    (n, samples, seed); the previous sample is released before the draw."""
+    key = (n, samples, seed)
+    if key not in _mc_cache:
+        _mc_cache.clear()
+        _mc_cache[key] = _mc_draw(n, samples, seed)
+    return _mc_cache[key]
+
+
+def _mc_draw(n, samples, seed):
     """The two coordinates of a uniform sample of S^(n-1) that the kernel
-    reads, zeta_n and zeta_1, as cached read-only arrays.
+    reads, zeta_n and zeta_1, as read-only arrays.
 
     The Philox normals are drawn in whole rows, _BLOCK rows at a time,
     which continues the one-shot (samples, n) stream bit for bit; each
@@ -308,9 +322,13 @@ def _mc_constant(q, sq):
         rows = slice(start, start + _BLOCK)
         F = kern.grad_dot_batch(polar[rows], lateral[rows], 1.0, r, n, ct, st)
         np.abs(F, out=g[rows])
-    value = float(np.mean(g))
-    stderr = float(np.std(g, ddof=1) / math.sqrt(sq.samples))
-    return value, stderr
+    # np.mean and np.std(ddof=1), step by step, with g's deviations and
+    # their squares taken in place: no second samples-long array
+    mean = np.add.reduce(g) / sq.samples
+    g -= mean
+    g *= g
+    stderr = math.sqrt(np.add.reduce(g) / (sq.samples - 1)) / math.sqrt(sq.samples)
+    return float(mean), stderr
 
 
 def _error_proxies(n, r, pieces, values, sq):

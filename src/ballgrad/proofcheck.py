@@ -57,7 +57,9 @@ _SOBOL_BITS = 30
 _SOBOL_JOE_KUO = ((1, 0, (1,)), (2, 1, (1, 3)))
 #: Largest number of grid points an inequality side is evaluated on in
 #: one call; a larger grid is evaluated in row blocks, so the temporaries
-#: of each call stay small heap blocks instead of fresh mappings.
+#: of each call stay small heap blocks instead of fresh mappings.  The
+#: grid is an open mesh, so a block holds its rows of the first axis and
+#: the other axes whole, and only the violation array has the grid's size.
 _BLOCK_POINTS = 8192
 
 #: The nine core derivative identities (the antiderivative suite).
@@ -249,9 +251,12 @@ def check_inequality(case, tolerance=1e-12):
     Reports the worst signed violation (positive means violated), with a
     small roundoff slack as the default tolerance.  The special checker
     ``monotone_decreasing`` instead verifies that consecutive lhs values
-    strictly decrease along a one-dimensional grid.  A grid of more than
-    ``_BLOCK_POINTS`` points is evaluated in blocks of whole rows of its
-    first axis, joined in order, so the first maximum is the same.
+    strictly decrease along a one-dimensional grid.  The sides receive an
+    open mesh (``np.meshgrid(..., sparse=True)``): one array per axis,
+    shaped to broadcast, so a subexpression of r alone or z alone runs
+    once per axis point.  A grid of more than ``_BLOCK_POINTS`` points is
+    evaluated in blocks of whole rows of its first axis, joined in order,
+    so the first maximum is the same.
     """
     if case.kind != "pointwise_leq":
         raise ValueError(f"{case.name} is not an inequality case")
@@ -268,11 +273,11 @@ def check_inequality(case, tolerance=1e-12):
             grid = axes[0]
             vals = case.lhs(grid)
         else:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            viol = np.empty(mesh[0].shape)
-            step = max(1, _BLOCK_POINTS * len(viol) // viol.size)
-            for i in range(0, len(viol), step):
-                rows = [m[i:i + step] for m in mesh]
+            mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+            viol = np.empty(shape)
+            step = max(1, _BLOCK_POINTS * shape[0] // viol.size)
+            for i in range(0, shape[0], step):
+                rows = [mesh[0][i:i + step], *mesh[1:]]
                 viol[i:i + step] = case.lhs(*rows) - case.rhs(*rows)
     except Exception as exc:
         raise EvaluationError(f"{case.name}: evaluation failed: {exc}") from exc
@@ -281,7 +286,7 @@ def check_inequality(case, tolerance=1e-12):
         mids = 0.5 * (grid[:-1] + grid[1:])
         worst, where = _first_max(case, np.diff(vals), (mids,))
     else:
-        worst, where = _first_max(case, viol, mesh)
+        worst, where = _first_max(case, viol, np.broadcast_arrays(*mesh))
 
     box = ", ".join(f"{v} in [{lo:g}, {hi:g}]" for v, lo, hi in case.domain)
     desc = "x".join(str(m) for m in shape) + f" grid over {box}"
@@ -574,8 +579,7 @@ def inequality_cases():
                      checker="monotone_decreasing"),
         IdentityCase("c_sup_sweep",
                      _c_closed_arr,
-                     # r is constant along each row of an ij-mesh block
-                     lambda r, z: _c_at_zero_arr(r[:, :1]),
+                     lambda r, z: _c_at_zero_arr(r),
                      (("r", 0.05, 0.995), b_z), "pointwise_leq",
                      grid_shape=(200, 200),
                      note="C(z, r) <= C(0, r): the sup sits at z = 0"),

@@ -238,6 +238,18 @@ def test_series_seam_continuity():
     assert abs(lo - hi) < 1e-10
 
 
+@pytest.mark.parametrize("r", [1e-160, 1e-200, 1e-300, 1e-320])
+def test_c_closed_at_tiny_radii(r):
+    """r^3 underflows to 0 long before r does: the series branch returns
+    C itself, and every direction reads C(z, 0) = 16/(3 pi)."""
+    for z in (0.0, 1.0, 10.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", SeriesBranchWarning)
+            c = c_closed(EvalPoint(r, z))
+        assert abs(c - 16.0 / (3.0 * math.pi)) <= 1e-15, (r, z, c)
+
+
 # radii and z values on both sides of both series seams
 SEAM_R = np.array([SERIES_R_THRESHOLD * (1 - 1e-9),
                    SERIES_R_THRESHOLD * (1 + 1e-9), 0.05, 0.3, 0.7, 0.99])

@@ -10,6 +10,7 @@ reference that shares none of the exact azimuthal integral's derivation.
 
 import math
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -221,21 +222,44 @@ def test_monte_carlo_blocks_equal_the_one_shot_draw(n, samples):
             assert got == expected, (r, theta)
 
 
-def test_monte_carlo_sample_drawn_once_per_sweep():
+def test_monte_carlo_sample_drawn_once_per_sweep(monkeypatch):
     """Every angle of a Monte Carlo profile reads one cached sample."""
-    poisson_oracle._mc_sample.cache_clear()
+    draws = []
+
+    def counted(*key, _draw=poisson_oracle._mc_draw):
+        draws.append(key)
+        return _draw(*key)
+    poisson_oracle._mc_cache.clear()
+    monkeypatch.setattr(poisson_oracle, "_mc_draw", counted)
     sq = SphereQuadrature(method="monte_carlo", samples=20_000, seed=3)
     best_direction(4, 0.5, np.linspace(0.0, math.pi / 2, 9), sq)
-    info = poisson_oracle._mc_sample.cache_info()
-    assert (info.misses, info.hits) == (1, 8)
     polar, lateral = poisson_oracle._mc_sample(4, 20_000, 3)
+    assert draws == [(4, 20_000, 3)]
     assert not polar.flags.writeable and not lateral.flags.writeable
 
 
+def test_monte_carlo_previous_sample_freed_before_the_next_draw(monkeypatch):
+    """A new (n, samples, seed) releases the cached sample before it draws,
+    so two samples are never alive at once."""
+    previous = [weakref.ref(a) for a in poisson_oracle._mc_sample(4, 20_000, 3)]
+    alive = []
+
+    def checked(*key, _draw=poisson_oracle._mc_draw):
+        alive.append([ref() is not None for ref in previous])
+        return _draw(*key)
+    monkeypatch.setattr(poisson_oracle, "_mc_draw", checked)
+    directional_constant_with_error(
+        DirectionalQuery(4, 0.5, 0.3),
+        SphereQuadrature(method="monte_carlo", samples=20_000, seed=4))
+    assert alive == [[False, False]]
+
+
 def test_monte_carlo_query_memory_peak():
-    """A 200k-sample query, its draw included, holds the cached sample
-    (16 bytes per point), the |F| array and one block's temporaries."""
-    poisson_oracle._mc_sample.cache_clear()
+    """A 200k-sample query, its draw included, holds the sample (16 bytes
+    per point), the |F| array, whose standard error is taken in place, and
+    one block's kernel temporaries: about 6.2 MiB (6.85 MiB with
+    np.std's copy of |F|)."""
+    poisson_oracle._mc_cache.clear()
     q = DirectionalQuery(4, 0.5, 0.3)
     sq = SphereQuadrature(method="monte_carlo", samples=200_000)
     tracemalloc.start()
@@ -244,7 +268,7 @@ def test_monte_carlo_query_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
+    assert peak < 6.5 * 2 ** 20
 
 
 def test_product_rule_error_proxy():

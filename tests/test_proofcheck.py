@@ -247,17 +247,40 @@ def test_oracle_queries_leave_scipy_out():
     assert res.stdout.strip() == "[]"
 
 
-def test_row_blocks_match_the_whole_grid():
-    case = next(c for c in inequality_cases() if c.name == "c_sup_sweep")
-    assert case.grid_shape == (200, 200) and 200 * 200 > _BLOCK_POINTS
-    axes = [np.linspace(0.05, 0.995, 200),
-            np.geomspace(1e-3, 50.0, 200)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    viol = case.lhs(*mesh) - case.rhs(*mesh)
-    i = int(np.argmax(viol))
-    rep = check_inequality(case)
-    assert rep.worst_violation == float(viol.flat[i])
-    assert rep.worst_location == (float(mesh[0].flat[i]), float(mesh[1].flat[i]))
+def test_row_blocks_match_the_whole_grid(monkeypatch):
+    """Every grid case, evaluated on the open mesh in row blocks, gives the
+    violation array of one dense np.meshgrid evaluation element for
+    element, and its first maximum.  The added case reads r alone, so its
+    sides return one value per row, broadcast across z."""
+    r_only = IdentityCase("r_only", lambda r, z: np.sin(20.0 * r),
+                          lambda r, z: 0.5 * r,
+                          (("r", 0.0, 1.0), ("z", 1e-3, 50.0)),
+                          "pointwise_leq", grid_shape=(300, 40))
+    cases = [c for c in inequality_cases() if c.checker == "pointwise"]
+    assert len(cases) == 12
+    seen = []
+    first_max = proofcheck._first_max
+
+    def captured(case, values, coords):
+        seen.append((np.array(values), [np.array(c) for c in coords]))
+        return first_max(case, values, coords)
+    monkeypatch.setattr(proofcheck, "_first_max", captured)
+    for case in cases + [r_only]:
+        d = len(case.domain)
+        shape = case.grid_shape or ((10_000,) if d == 1 else (100,) * d)
+        axes = [_axis_grid(v, lo, hi, m)
+                for (v, lo, hi), m in zip(case.domain, shape)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        viol = np.broadcast_to(case.lhs(*mesh) - case.rhs(*mesh), shape)
+        assert viol.size > _BLOCK_POINTS  # two row blocks at least
+        i = int(np.argmax(viol))
+        seen.clear()
+        rep = check_inequality(case)
+        (values, coords), = seen
+        assert values.tobytes() == np.ascontiguousarray(viol).tobytes(), case.name
+        assert all(np.array_equal(c, m) for c, m in zip(coords, mesh))
+        assert rep.worst_violation == float(viol.flat[i])
+        assert rep.worst_location == tuple(float(m.flat[i]) for m in mesh)
 
 
 def _case(name, cases=inequality_cases):
@@ -267,7 +290,7 @@ def _case(name, cases=inequality_cases):
 def _count_series_calls(monkeypatch):
     """Record, by name, every call of the closed forms' series branches."""
     calls = []
-    for name in ("_hsum_series", "_h1_series", "_frak_c_series"):
+    for name in ("_c_closed_series", "_h1_series", "_frak_c_series"):
         def counted(*args, _name=name, _original=getattr(closedform4, name)):
             calls.append(_name)
             return _original(*args)
@@ -293,12 +316,13 @@ def test_series_branches_run_only_where_an_element_takes_them(monkeypatch):
     calls.clear()
     with pytest.warns(SeriesBranchWarning):
         closedform4._c_closed_arr(np.array([5e-4, 0.5]), 0.0)
-    assert sorted(calls) == ["_h1_series", "_hsum_series"]
+    assert sorted(calls) == ["_c_closed_series", "_h1_series"]
 
 
 def test_c_sup_sweep_memory_peak():
-    """One row block of c_sup_sweep holds the mesh, the violation array
-    and the closed forms' temporaries for 8,000 points."""
+    """One row block of c_sup_sweep holds the open mesh's axes, the
+    violation array and the closed forms' temporaries for 8,000 points:
+    about 0.80 MiB (1.55 MiB with a dense mesh)."""
     case = _case("c_sup_sweep")
     tracemalloc.start()
     try:
@@ -306,7 +330,7 @@ def test_c_sup_sweep_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.8 * 2 ** 20
+    assert peak < 1.0 * 2 ** 20
 
 
 def _registry_points():

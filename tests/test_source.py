@@ -2,8 +2,9 @@
 ``ast`` only.
 
 No module other than ``__init__.py`` (which imports to re-export)
-imports a name it never reads, and no module reads an underscore
-attribute of another package module it holds as an object.
+imports a name it never reads, no module reads an underscore
+attribute of another package module it holds as an object, and every
+``meshgrid`` call builds an open mesh (``sparse=True``).
 """
 
 import ast
@@ -73,3 +74,29 @@ def test_private_read_is_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_no_private_name_of_another(module):
     assert _private_reads((PACKAGE / module).read_text()) == []
+
+
+def _dense_meshgrids(source):
+    """Lines of the ``meshgrid`` calls of ``source`` that do not pass
+    ``sparse=True``: a dense mesh holds every axis at the grid's size."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) == "meshgrid"
+                 or getattr(node.func, "id", None) == "meshgrid")
+            and not any(kw.arg == "sparse" and isinstance(kw.value, ast.Constant)
+                        and kw.value.value is True for kw in node.keywords)]
+
+
+def test_dense_meshgrid_is_found():
+    source = ("import numpy as np\n"
+              "from numpy import meshgrid\n"
+              "a = np.meshgrid(x, y, indexing='ij')\n"
+              "b = np.meshgrid(x, y, indexing='ij', sparse=True)\n"
+              "c = np.meshgrid(x, y, sparse=False)\n"
+              "d = meshgrid(x, y)\n")
+    assert _dense_meshgrids(source) == [3, 5, 6]
+
+
+@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
+def test_module_builds_only_open_meshes(module):
+    assert _dense_meshgrids((PACKAGE / module).read_text()) == []
