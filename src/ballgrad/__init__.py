@@ -14,8 +14,8 @@ from .exceptions import EvaluationError, QuadratureError, SeriesBranchWarning
 from .kernelint import (ParamSet, QuadratureSpec, adaptive_quad, c_numeric,
                         psi_numeric, q_partial_fractions, sphere_area)
 from .poisson_oracle import (BestDirection, DirectionalQuery, SphereQuadrature,
-                             best_direction, directional_constant,
-                             directional_constant_vector,
+                             best_direction, direction_profile,
+                             directional_constant, directional_constant_vector,
                              directional_constant_with_error, extremal_check,
                              kernel_mass, poisson_gradient, poisson_kernel)
 from .proofcheck import (DERIVATIVE_SUITE, IdentityCase, SupResult,

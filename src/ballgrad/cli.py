@@ -18,7 +18,9 @@ Every command writes its result through ``_write``: the JSON document
 under --json; without --json the text goes to stdout.  ``curve``'s CSV
 is the one other output, with its manifest in a sidecar.  The reports
 and verdicts of the verify suites are proofcheck's; this module maps
-options to grids, tags and tolerances.
+options to grids, tags and tolerances.  Every command that queries the
+Poisson oracle takes its product rule (Monte Carlo is a library-only
+cross-check), so none has a method or sample-count option.
 
 Exit codes: 0 pass, 1 verified violation, 2 usage error, 3 numerical
 failure.  All numbers print with 17 significant digits so text output
@@ -145,11 +147,6 @@ def _finite_float(positive):
     return finite_float
 
 
-def _sphere_quadrature(args):
-    return SphereQuadrature(method=args.method.replace("-", "_"),
-                            samples=args.samples, seed=args.seed)
-
-
 # ---------------------------------------------------------------------------
 # constant
 # ---------------------------------------------------------------------------
@@ -237,11 +234,10 @@ def cmd_verify(args, argv):
     t0 = time.perf_counter()
     tols = dict(_DEFAULT_TOLS)
     if args.suite in _TOL_KEYS and args.tol is not None:
-        if args.suite == "oracle" and args.method == "monte-carlo":
-            raise UsageError("--tol sets the product-rule tolerance; under "
-                             "--method monte-carlo verify oracle is judged "
-                             "by the standard error")
         tols[_TOL_KEYS[args.suite]] = args.tol
+    # the seed is recorded by the seeded reports: the oracle suite's and
+    # the direction sweep's
+    sq = SphereQuadrature(seed=args.seed)
 
     if args.suite == "identities":
         reports = proofcheck.run_identity_suite(tolerance=tols["identities"])
@@ -254,15 +250,13 @@ def cmd_verify(args, argv):
                                          np.linspace(0.05, 0.95, args.r_steps))
         tags = ["log_grid"]
     elif args.suite == "conjecture":
-        sq = _sphere_quadrature(args)
         r_grid = np.linspace(0.05, 0.95, args.r_steps)
         theta_grid = np.linspace(0.0, math.pi / 2.0, args.theta_steps)
         reports = [proofcheck.conjecture_report(args.n, r_grid, theta_grid, sq)]
         tags = [sq.method]
     else:  # oracle
-        reports = proofcheck.oracle_reports(args.n, _sphere_quadrature(args),
-                                            tols["oracle_vs_closed"])
-        tags = [args.method.replace("-", "_"), "central_fd"]
+        reports = proofcheck.oracle_reports(args.n, sq, tols["oracle_vs_closed"])
+        tags = [sq.method, "central_fd"]
 
     _write(args, argv, t0, tols, tags, [_field_dict(rep) for rep in reports],
            lambda: "\n".join(
@@ -283,7 +277,7 @@ def cmd_oracle(args, argv):
         raise UsageError(f"--r must lie in [0, 1), got {args.r}")
     if not (0.0 <= args.theta <= math.pi / 2.0):
         raise UsageError(f"--theta must lie in [0, pi/2], got {args.theta}")
-    sq = _sphere_quadrature(args)
+    sq = SphereQuadrature()
     q = DirectionalQuery(n=args.n, r=args.r, theta=args.theta)
     value, err = directional_constant_with_error(q, sq)
     record = {"n": args.n, "r": args.r, "theta": args.theta,
@@ -309,12 +303,6 @@ def build_parser():
                         help="omit wall time from the manifest (reproducible bytes)")
     common.add_argument("--seed", type=_int_at_least(0), default=_DEFAULT_SEED)
 
-    # sphere quadrature: commands that query the Poisson oracle
-    quadrature = argparse.ArgumentParser(add_help=False)
-    quadrature.add_argument("--method", choices=["product-gauss", "monte-carlo"],
-                            default="product-gauss")
-    quadrature.add_argument("--samples", type=_int_at_least(2), default=200_000,
-                            help="Monte Carlo sample count")
     radii = argparse.ArgumentParser(add_help=False)
     radii.add_argument("--r-steps", type=_int_at_least(1), default=19,
                        help="radii in [0.05, 0.95]")
@@ -359,9 +347,8 @@ def build_parser():
             ("identities", [], only_4),
             ("lemmas", [], only_4),
             ("sup", [radii], {"type": _int_at_least(3)}),
-            ("conjecture", [quadrature, radii, angles],
-             {"type": _int_at_least(2)}),
-            ("oracle", [quadrature], {"type": _int_at_least(2)})):
+            ("conjecture", [radii, angles], {"type": _int_at_least(2)}),
+            ("oracle", [], {"type": _int_at_least(2)})):
         p = suites.add_parser(suite, parents=[common, *parents])
         p.add_argument("--n", default=4, **n_kwargs)
         if suite in _TOL_KEYS:
@@ -371,14 +358,14 @@ def build_parser():
                                 f"({_DEFAULT_TOLS[key]:g})")
         p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", parents=[common, quadrature],
+    p = sub.add_parser("oracle", parents=[common],
                        help="one spherical-quadrature query")
     p.add_argument("--n", type=_int_at_least(2), default=4)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--theta", type=float, default=0.0)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("sweep", parents=[common, quadrature, radii, angles],
+    p = sub.add_parser("sweep", parents=[common, radii, angles],
                        help="direction-profile sweep (verify conjecture)")
     p.add_argument("--n", type=_int_at_least(2), default=4)
     p.set_defaults(func=cmd_verify, suite="conjecture")

@@ -28,20 +28,20 @@ phi = a + (b-a)(3s^2 - 2s^3).  With alpha and rho^2 formed from
 sin^2(phi/2), nothing cancels near the pole, and at theta = 0 the query
 keeps its accuracy up to r = 0.99999.
 
-Monte Carlo draws its Philox normals in blocks of _BLOCK whole rows and
-keeps of each row only the two coordinates the kernel reads, zeta_n and
-zeta_1, over |zeta|; the estimate equals that of one (samples, n) draw
-bit for bit.  The sample is cached for the last (n, samples, seed), so
-the angles of one sweep share one draw; the cache holds 16 bytes per
-sample point (3.2 MB at the default 200,000), and a new (n, samples,
-seed) empties it before its draw.  The kernel then runs block by block
-on the cached columns into one |F| array, whose standard error is taken
-in place, so a query's other temporaries stay a block's size.
+Monte Carlo is a single-query cross-check: ``directional_constant``
+and ``directional_constant_with_error`` take it, and every profile
+(``direction_profile``, ``best_direction``) is the product rule's.  It
+draws its Philox normals in blocks of _BLOCK whole rows; each block is
+normalized and only its two coordinates that the kernel reads, zeta_n
+and zeta_1 over |zeta|, go to the kernel, so the estimate equals that of
+one (samples, n) draw bit for bit.  The kernel's |F| goes into one
+array, whose standard error is taken in place, so a query's other
+temporaries stay a block's size.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -269,37 +269,37 @@ def _polar_integrals(n, r, pieces, nodes_polar):
     return [scale * math.fsum(row) for row in (width * (f @ w)).tolist()]
 
 
-def _product_constant(q, sq):
-    """The exact-azimuth query: one polar integral, in one kernel call."""
-    pieces = _polar_pieces(q.n, q.r, (q.theta,))
-    return _polar_integrals(q.n, q.r, pieces, sq.nodes_polar)[0]
+def direction_profile(n, r, thetas, sq=SphereQuadrature()):
+    """The product-rule C(x, v) at every angle of ``thetas`` for one
+    (n, r), a list from one kernel call; an angle's value does not depend
+    on the others.  Of ``sq`` only ``nodes_polar`` is read."""
+    thetas = [float(t) for t in thetas]
+    _validate(n, r, thetas)
+    return _polar_integrals(n, r, _polar_pieces(n, r, thetas), sq.nodes_polar)
 
 
-#: the one cached Monte Carlo sample: {(n, samples, seed): (polar, lateral)}
-_mc_cache = {}
+def _require_product_rule(sq):
+    """Raise ValueError unless ``sq`` is the product rule: a profile, or
+    a suite judged by fixed tolerances, takes no Monte Carlo."""
+    if sq.method != "product_gauss":
+        raise ValueError(f"method {sq.method!r} is a single-query cross-check "
+                         "of directional_constant(_with_error); profiles and "
+                         "suites take the product rule")
 
 
-def _mc_sample(n, samples, seed):
-    """The sample of ``_mc_draw(n, samples, seed)``, cached for the last
-    (n, samples, seed); the previous sample is released before the draw."""
-    key = (n, samples, seed)
-    if key not in _mc_cache:
-        _mc_cache.clear()
-        _mc_cache[key] = _mc_draw(n, samples, seed)
-    return _mc_cache[key]
-
-
-def _mc_draw(n, samples, seed):
-    """The two coordinates of a uniform sample of S^(n-1) that the kernel
-    reads, zeta_n and zeta_1, as read-only arrays.
+def _mc_constant(q, sq):
+    """The Monte Carlo estimate of C(x, v) and its standard error.
 
     The Philox normals are drawn in whole rows, _BLOCK rows at a time,
     which continues the one-shot (samples, n) stream bit for bit; each
     block's norm is the left fold over its squared columns, as
     np.linalg.norm(axis=1) sums them.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
-    polar, lateral = np.empty(samples), np.empty(samples)
+    n, r, samples = q.n, q.r, sq.samples
+    ct, st = math.cos(q.theta), math.sin(q.theta)
+    rng = np.random.Generator(np.random.Philox(sq.seed))
+    kern = backend.get_backend()
+    g = np.empty(samples)
     for start in range(0, samples, _BLOCK):
         rows = slice(start, min(start + _BLOCK, samples))
         block = rng.standard_normal((rows.stop - start, n))
@@ -307,43 +307,32 @@ def _mc_draw(n, samples, seed):
         for j in range(1, n):
             norm += block[:, j] ** 2
         np.sqrt(norm, out=norm)
-        np.divide(block[:, n - 1], norm, out=polar[rows])
-        np.divide(block[:, 0], norm, out=lateral[rows])
-    return _read_only(polar, lateral)
-
-
-def _mc_constant(q, sq):
-    n, r = q.n, q.r
-    ct, st = math.cos(q.theta), math.sin(q.theta)
-    polar, lateral = _mc_sample(n, sq.samples, sq.seed)
-    kern = backend.get_backend()
-    g = np.empty(sq.samples)
-    for start in range(0, sq.samples, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        F = kern.grad_dot_batch(polar[rows], lateral[rows], 1.0, r, n, ct, st)
+        F = kern.grad_dot_batch(block[:, n - 1] / norm, block[:, 0] / norm,
+                                1.0, r, n, ct, st)
         np.abs(F, out=g[rows])
     # np.mean and np.std(ddof=1), step by step, with g's deviations and
     # their squares taken in place: no second samples-long array
-    mean = np.add.reduce(g) / sq.samples
+    mean = np.add.reduce(g) / samples
     g -= mean
     g *= g
-    stderr = math.sqrt(np.add.reduce(g) / (sq.samples - 1)) / math.sqrt(sq.samples)
+    stderr = math.sqrt(np.add.reduce(g) / (samples - 1)) / math.sqrt(samples)
     return float(mean), stderr
 
 
-def _error_proxies(n, r, pieces, values, sq):
-    """Error measures of ``values``, the product-rule answers on
-    ``pieces`` under ``sq``: their node-halving deltas, from one kernel
+def _error_proxies(n, r, thetas, values, sq):
+    """Error measures of ``values``, the product-rule answers at
+    ``thetas`` under ``sq``: their node-halving deltas, from one kernel
     call."""
-    coarse = _polar_integrals(n, r, pieces, max(2, sq.nodes_polar // 2))
-    return [abs(v - c) for v, c in zip(values, coarse)]
+    halved = replace(sq, nodes_polar=max(2, sq.nodes_polar // 2))
+    return [abs(v - c)
+            for v, c in zip(values, direction_profile(n, r, thetas, halved))]
 
 
 def directional_constant(q, sq=SphereQuadrature()):
     """Directional sharp constant C(x, v) for the canonical query."""
     if sq.method == "monte_carlo":
         return _mc_constant(q, sq)[0]
-    return _product_constant(q, sq)
+    return direction_profile(q.n, q.r, (q.theta,), sq)[0]
 
 
 def directional_constant_with_error(q, sq=SphereQuadrature()):
@@ -351,9 +340,8 @@ def directional_constant_with_error(q, sq=SphereQuadrature()):
     standard error, or the node-halving delta for the product rule."""
     if sq.method == "monte_carlo":
         return _mc_constant(q, sq)
-    pieces = _polar_pieces(q.n, q.r, (q.theta,))
-    values = _polar_integrals(q.n, q.r, pieces, sq.nodes_polar)
-    return values[0], _error_proxies(q.n, q.r, pieces, values, sq)[0]
+    values = direction_profile(q.n, q.r, (q.theta,), sq)
+    return values[0], _error_proxies(q.n, q.r, (q.theta,), values, sq)[0]
 
 
 def directional_constant_vector(x, v, sq=SphereQuadrature()):
@@ -386,12 +374,13 @@ class BestDirection:
 
 
 def best_direction(n, r, theta_grid, sq=SphereQuadrature()):
-    """Maximize the direction profile over a theta grid.
+    """Maximize the product-rule direction profile over a theta grid.
 
     Returns the grid argmax, the full (theta, value) profile and the
-    error allowance: the sum of the quadrature error proxies at theta = 0
-    and at the argmax.  The verdict on the profile is
-    ``proofcheck.conjecture_report``'s.
+    error allowance: the sum of the node-halving deltas at theta = 0 and
+    at the argmax.  A Monte Carlo ``sq`` raises ValueError, as a bad
+    argument does, before any kernel call.  The verdict on the profile
+    is ``proofcheck.conjecture_report``'s.
     """
     thetas = [float(t) for t in theta_grid]
     if not thetas:
@@ -399,34 +388,24 @@ def best_direction(n, r, theta_grid, sq=SphereQuadrature()):
     _validate(n, r, thetas)
     if 0.0 not in thetas:
         raise ValueError("theta_grid must contain 0")
-    if sq.method == "monte_carlo":
-        # one pass per angle: its standard error is kept for the allowance
-        runs = [_mc_constant(DirectionalQuery(n, r, t), sq) for t in thetas]
-        values = [v for v, _ in runs]
-    else:
-        pieces = _polar_pieces(n, r, thetas)
-        values = _polar_integrals(n, r, pieces, sq.nodes_polar)
-    profile = tuple(zip(thetas, values))
+    _require_product_rule(sq)
+    values = direction_profile(n, r, thetas, sq)
     star = max(range(len(thetas)), key=values.__getitem__)
     zero = thetas.index(0.0)
     at = sorted({zero, star})
-    if sq.method == "monte_carlo":
-        errs = [runs[i][1] for i in at]
-    else:
-        # reuses the profile values: only the coarse pass runs
-        errs = _error_proxies(n, r, [a[at] for a in pieces],
-                              [values[i] for i in at], sq)
-    err = dict(zip(at, errs))
-    allowance = err[zero] + err[star] + 1e-9
-    return BestDirection(theta_star=thetas[star], profile=profile,
-                         allowance=allowance)
+    # reuses the profile values: only the coarse pass runs
+    err = dict(zip(at, _error_proxies(n, r, [thetas[i] for i in at],
+                                      [values[i] for i in at], sq)))
+    return BestDirection(theta_star=thetas[star],
+                         profile=tuple(zip(thetas, values)),
+                         allowance=err[zero] + err[star] + 1e-9)
 
 
 def extremal_check(n, r, sq=SphereQuadrature()):
     """The theta = 0 query under the product rule, whatever ``sq.method``
     says: the boundary data sign<grad P, e_n> attains the normal-direction
     constant, the integral of |<grad P, e_n>|."""
-    return _product_constant(DirectionalQuery(n=n, r=r, theta=0.0), sq)
+    return direction_profile(n, r, (0.0,), sq)[0]
 
 
 def kernel_mass(r, n):

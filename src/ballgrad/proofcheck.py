@@ -45,7 +45,8 @@ from .closedform4 import (_atan_den, _c_at_zero_arr, _c_closed_arr,
 from .exceptions import EvaluationError
 from .kernelint import q_partial_fractions
 from .poisson_oracle import (DirectionalQuery, SphereQuadrature,
-                             best_direction, directional_constant_with_error,
+                             _require_product_rule, best_direction,
+                             direction_profile, directional_constant_with_error,
                              kernel_mass, poisson_gradient, poisson_kernel)
 
 _COMPLEX_STEP = 1e-30  # h in f'(x) = Im f(x + ih) / h: nothing cancels
@@ -638,7 +639,7 @@ def locate_sup(r, n=4, grid_points=512):
     order.  Every radius must lie in (0, 1).  Each radius reports its
     grid argmax.  For n = 4 the profiles of all radii come from one
     closed-form call; otherwise each radius's profile is
-    (1 - r) C_oracle(n, r, arctan z), one ``best_direction`` call.  The
+    (1 - r) C_oracle(n, r, arctan z), one ``direction_profile`` call.  The
     profile does not decay -- it levels off at the tangential-direction
     value as z grows -- so an argmax on the grid's right edge means the
     maximum might lie beyond it, and raises ``EvaluationError``.
@@ -658,7 +659,7 @@ def locate_sup(r, n=4, grid_points=512):
     else:
         thetas = np.arctan(grid)
         vals = np.array([[(1.0 - rk) * v
-                          for _, v in best_direction(n, rk, thetas).profile]
+                          for v in direction_profile(n, rk, thetas)]
                          for rk in radii.tolist()])
     i = np.argmax(vals, axis=1)
     edge = radii[i == grid_points - 1]
@@ -695,60 +696,42 @@ def sup_reports(n, radii):
     return reports
 
 
-#: Allowances a Monte Carlo profile may spread by: an n = 2 profile and
-#: still count as flat (3 angles at r = 0.05 reached 3.4 over 200 seeds),
-#: an n = 4 angle over theta = 0 (3 radii x 10 angles reached 1.96, at
-#: r = 0.05, over 200 seeds).
-_MC_FLAT_SIGMAS = 4.0
-
-
 def conjecture_report(n, r_grid, theta_grid, sq=SphereQuadrature()):
-    """Aggregate best_direction over a radius grid.
+    """Aggregate best_direction over a radius grid, under the product
+    rule (a Monte Carlo ``sq`` raises ValueError).
 
     For n = 4 this is a genuine pass/fail check: theta = 0 must maximize
-    every profile within the quadrature error allowance, or, under Monte
-    Carlo, within 4 allowances.  n = 2 runs a direction-independence
-    (flatness) check instead: a relative spread of at most 1e-5 under the
-    product rule, or, under Monte Carlo, a spread within 4 allowances.
-    Any other dimension is exploratory -- reported, never failed.
+    every profile within the quadrature error allowance.  n = 2 runs a
+    direction-independence (flatness) check instead: a relative spread
+    of at most 1e-5.  Any other dimension is exploratory -- reported,
+    never failed.  The report records ``sq.seed``.
     """
     r_grid = [float(r) for r in r_grid]
     theta_grid = [float(t) for t in theta_grid]
     if not r_grid:
         raise ValueError("r_grid must be nonempty")
 
-    monte_carlo = sq.method == "monte_carlo"
     worst = -math.inf
     where = None
     for r in r_grid:
         bd = best_direction(n, r, theta_grid, sq)
-        values = [v for _, v in bd.profile]
-        value0 = dict(bd.profile)[0.0]
-        # a Monte Carlo profile is right only within its noise.  The
-        # allowance SE(0) + SE(theta*) bounds the standard error of the
-        # difference of two angles' values, whose errors can be
-        # anticorrelated, and the difference may reach a few of those
-        if monte_carlo:
-            slack = _MC_FLAT_SIGMAS * bd.allowance
-        else:
-            slack = 0.0 if n == 2 else bd.allowance
         if n == 2:
-            spread = (max(values) - min(values) - slack) / max(values)
+            values = [v for _, v in bd.profile]
+            spread = (max(values) - min(values)) / max(values)
             if spread > worst:
                 t_at = max(bd.profile, key=lambda tv: tv[1])[0]
                 worst, where = spread, (r, t_at)
         else:
+            value0 = dict(bd.profile)[0.0]
             for t, v in bd.profile:
                 if t == 0.0:
                     continue
-                excess = v - value0 - slack
+                excess = v - value0 - bd.allowance
                 if excess > worst:
                     worst, where = excess, (r, t)
 
     if n == 4:
         tolerance, note = 0.0, "normal direction maximizes within allowance"
-    elif n == 2 and monte_carlo:
-        tolerance, note = 0.0, "direction-independence (flatness) within allowance"
     elif n == 2:
         tolerance, note = 1e-5, "direction-independence (flatness) check"
     else:
@@ -763,12 +746,12 @@ def conjecture_report(n, r_grid, theta_grid, sq=SphereQuadrature()):
 
 
 def oracle_reports(n, sq, tol):
-    """The oracle self-tests, seeded by ``sq.seed``.  The oracle's values
-    are judged against the known constants by fixed tolerances under the
-    product rule (``tol`` for the n = 4 closed form), and under Monte
-    Carlo within ``_MC_FLAT_SIGMAS`` of their standard errors, which each
-    report records as its tolerance."""
-    sigmas = _MC_FLAT_SIGMAS if sq.method == "monte_carlo" else None
+    """The oracle self-tests, seeded by ``sq.seed``, under the product
+    rule (a Monte Carlo ``sq`` raises ValueError before any query).  The
+    oracle's values are judged against the known constants by fixed
+    tolerances: 1e-8 for the disk and ``tol`` for the n = 4 closed
+    form."""
+    _require_product_rule(sq)
     reports = []
 
     dev = max(abs(kernel_mass(r, n) - 1.0) for r in (0.0, 0.3, 0.6, 0.9))
@@ -799,27 +782,24 @@ def oracle_reports(n, sq, tol):
         passed=bool(worst_fd <= 1e-8), seed=sq.seed, method="central_fd",
         note="analytic kernel gradient against finite differences"))
 
-    v, se = directional_constant_with_error(DirectionalQuery(2, 0.0, 0.0), sq)
+    v, _ = directional_constant_with_error(DirectionalQuery(2, 0.0, 0.0), sq)
     dev2 = abs(v - 4.0 / math.pi)
-    tol2 = 1e-8 if sigmas is None else sigmas * se
     reports.append(VerificationReport(
         case_name="disk_center", sample_desc="n=2, r=0, theta=0",
-        worst_violation=dev2, worst_location=(), tolerance=tol2,
-        passed=dev2 <= tol2, seed=sq.seed, method=sq.method,
+        worst_violation=dev2, worst_location=(), tolerance=1e-8,
+        passed=dev2 <= 1e-8, seed=sq.seed, method=sq.method,
         note="classical disk constant 4/pi at the center"))
 
-    # (relative deviation, its tolerance, r); the worst exceeds its
-    # tolerance by the most
+    # (relative deviation, r): the first largest
     cases = []
     radii = (0.1, 0.3, 0.5, 0.7, 0.9)
     for r, ref in zip(radii, _gradient_bound_arr(np.array(radii)).tolist()):
-        v, se = directional_constant_with_error(DirectionalQuery(4, r, 0.0), sq)
-        cases.append((abs(v - ref) / ref,
-                      tol if sigmas is None else sigmas * se / ref, r))
-    worst_cmp, tol_cmp, r = max(cases, key=lambda c: c[0] - c[1])
+        v, _ = directional_constant_with_error(DirectionalQuery(4, r, 0.0), sq)
+        cases.append((abs(v - ref) / ref, r))
+    worst_cmp, r = max(cases, key=lambda c: c[0])
     reports.append(VerificationReport(
         case_name="oracle_vs_closed_n4", sample_desc="r in {0.1,...,0.9}",
-        worst_violation=worst_cmp, worst_location=(r,), tolerance=tol_cmp,
-        passed=worst_cmp <= tol_cmp, seed=sq.seed, method=sq.method,
+        worst_violation=worst_cmp, worst_location=(r,), tolerance=tol,
+        passed=worst_cmp <= tol, seed=sq.seed, method=sq.method,
         note="spherical quadrature against the closed-form bound"))
     return reports

@@ -10,7 +10,6 @@ reference that shares none of the exact azimuthal integral's derivation.
 
 import math
 import tracemalloc
-import weakref
 
 import mpmath
 import numpy as np
@@ -29,12 +28,13 @@ from ballgrad import _kernels_py, poisson_oracle
 from ballgrad._kernels_py import grad_dot_batch
 from ballgrad.closedform4 import _c_closed_arr
 from ballgrad.kernelint import ParamSet, QuadratureSpec, c_numeric, sphere_area
-from ballgrad.proofcheck import conjecture_report
+from ballgrad.proofcheck import conjecture_report, locate_sup, oracle_reports
 from ballgrad.poisson_oracle import (
     _gauss_legendre,
     _kink_points,
     _piece_rule,
     best_direction,
+    direction_profile,
     directional_constant,
     directional_constant_vector,
     directional_constant_with_error,
@@ -222,44 +222,11 @@ def test_monte_carlo_blocks_equal_the_one_shot_draw(n, samples):
             assert got == expected, (r, theta)
 
 
-def test_monte_carlo_sample_drawn_once_per_sweep(monkeypatch):
-    """Every angle of a Monte Carlo profile reads one cached sample."""
-    draws = []
-
-    def counted(*key, _draw=poisson_oracle._mc_draw):
-        draws.append(key)
-        return _draw(*key)
-    poisson_oracle._mc_cache.clear()
-    monkeypatch.setattr(poisson_oracle, "_mc_draw", counted)
-    sq = SphereQuadrature(method="monte_carlo", samples=20_000, seed=3)
-    best_direction(4, 0.5, np.linspace(0.0, math.pi / 2, 9), sq)
-    polar, lateral = poisson_oracle._mc_sample(4, 20_000, 3)
-    assert draws == [(4, 20_000, 3)]
-    assert not polar.flags.writeable and not lateral.flags.writeable
-
-
-def test_monte_carlo_previous_sample_freed_before_the_next_draw(monkeypatch):
-    """A new (n, samples, seed) releases the cached sample before it draws,
-    so two samples are never alive at once."""
-    previous = [weakref.ref(a) for a in poisson_oracle._mc_sample(4, 20_000, 3)]
-    alive = []
-
-    def checked(*key, _draw=poisson_oracle._mc_draw):
-        alive.append([ref() is not None for ref in previous])
-        return _draw(*key)
-    monkeypatch.setattr(poisson_oracle, "_mc_draw", checked)
-    directional_constant_with_error(
-        DirectionalQuery(4, 0.5, 0.3),
-        SphereQuadrature(method="monte_carlo", samples=20_000, seed=4))
-    assert alive == [[False, False]]
-
-
 def test_monte_carlo_query_memory_peak():
-    """A 200k-sample query, its draw included, holds the sample (16 bytes
-    per point), the |F| array, whose standard error is taken in place, and
-    one block's kernel temporaries: about 6.2 MiB (6.85 MiB with
-    np.std's copy of |F|)."""
-    poisson_oracle._mc_cache.clear()
+    """A 200k-sample query holds the |F| array (8 bytes per point), whose
+    standard error is taken in place, and one block's draw and kernel
+    temporaries: about 3.3 MiB (5.46 MiB with a samples-long copy of
+    zeta_n and zeta_1)."""
     q = DirectionalQuery(4, 0.5, 0.3)
     sq = SphereQuadrature(method="monte_carlo", samples=200_000)
     tracemalloc.start()
@@ -268,7 +235,22 @@ def test_monte_carlo_query_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.5 * 2 ** 20
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known false failure: plain Monte Carlo understates its standard error "
+    "near the sphere, and at r = 0.9 a 1,000-sample estimate misses the "
+    "closed form by more than four of them (ROADMAP item 12)"))
+def test_monte_carlo_small_sample_within_four_standard_errors():
+    """Correct code puts the Monte Carlo estimate within four standard
+    errors of the closed form at the default seed, whatever the sample
+    count; at 1,000 samples and r = 0.9 it does not yet (4.0895 against
+    8.7499, standard error 0.626: 7.44 of them)."""
+    v, se = directional_constant_with_error(
+        DirectionalQuery(4, 0.9, 0.0),
+        SphereQuadrature(method="monte_carlo", samples=1000))
+    assert abs(v - gradient_bound(0.9)) <= 4.0 * se
 
 
 def test_product_rule_error_proxy():
@@ -508,15 +490,51 @@ def test_best_direction_makes_two_kernel_calls(monkeypatch):
                          ids=["product", "monte_carlo"])
 def test_best_direction_validates_like_a_query(monkeypatch, n, r, bad_theta, sq):
     """A bad dimension, radius or angle raises the ValueError that
-    DirectionalQuery raises for it, before any kernel call."""
+    DirectionalQuery raises for it, before any kernel call, in a profile
+    and in its maximization."""
     theta = 0.3 if bad_theta is None else bad_theta
     with pytest.raises(ValueError) as expected:
         DirectionalQuery(n, r, theta)
     calls = _count_kernel_calls(monkeypatch)
-    with pytest.raises(ValueError) as got:
-        best_direction(n, r, [0.0, 0.3, theta], sq)
-    assert str(got.value) == str(expected.value)
+    for profile in (best_direction, direction_profile):
+        with pytest.raises(ValueError) as got:
+            profile(n, r, [0.0, 0.3, theta], sq)
+        assert str(got.value) == str(expected.value)
     assert calls == []
+
+
+def test_profiles_and_suites_reject_monte_carlo(monkeypatch):
+    """Monte Carlo is a single-query cross-check: a profile, the direction
+    sweep and the oracle suite raise ValueError for it before any kernel
+    call."""
+    mc = SphereQuadrature(method="monte_carlo", samples=1_000)
+    calls = _count_kernel_calls(monkeypatch)
+    grid = [0.0, 0.3]
+    for run in (lambda: best_direction(4, 0.5, grid, mc),
+                lambda: conjecture_report(4, [0.5], grid, mc),
+                lambda: oracle_reports(4, mc, 1e-6)):
+        with pytest.raises(ValueError, match="monte_carlo"):
+            run()
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("r", [0.0, 0.5, 0.9999])
+def test_direction_profile_is_the_best_direction_profile(monkeypatch, n, r):
+    """One kernel call gives best_direction's profile, bit for bit."""
+    calls = _count_kernel_calls(monkeypatch)
+    values = direction_profile(n, r, SWEEP_GRID)
+    assert calls == ["polar_integrand_batch"]
+    assert tuple(zip(SWEEP_GRID.tolist(), values)) \
+        == best_direction(n, r, SWEEP_GRID).profile
+
+
+def test_locate_sup_other_dimension_one_kernel_call_per_radius(monkeypatch):
+    """For n != 4 each radius's profile is one direction_profile call: no
+    error proxies that nothing reads."""
+    calls = _count_kernel_calls(monkeypatch)
+    locate_sup(np.array([0.2, 0.5, 0.8]), n=3)
+    assert calls == ["polar_integrand_batch"] * 3
 
 
 def test_gauss_rules_cached_read_only():
@@ -585,7 +603,7 @@ def test_gauss_rules_match_40_digit_rules(m):
 @pytest.mark.parametrize("n,r,sq", [
     (4, 0.5, SQ),
     (2, 0.9, SQ),  # flat profile: the argmax is an interior angle
-    (4, 0.5, SphereQuadrature(method="monte_carlo", samples=2_000, seed=5)),
+    (4, 0.5, SphereQuadrature(nodes_polar=24)),  # a coarser rule
 ])
 def test_best_direction_allowance_from_error_proxies(n, r, sq):
     """The profile repeats, and the allowance is the two error measures
@@ -595,25 +613,4 @@ def test_best_direction_allowance_from_error_proxies(n, r, sq):
     assert best_direction(n, r, grid, sq).profile == bd.profile
     _, err0 = directional_constant_with_error(DirectionalQuery(n, r, 0.0), sq)
     _, errs = directional_constant_with_error(DirectionalQuery(n, r, bd.theta_star), sq)
-    assert bd.allowance == err0 + errs + 1e-9
-
-
-def test_best_direction_monte_carlo_samples_each_angle_once(monkeypatch):
-    """Each angle's standard error comes from its profile pass; the
-    allowance is the one directional_constant_with_error gives."""
-    sq = SphereQuadrature(method="monte_carlo", samples=20_000, seed=11)
-    grid = [0.0, math.pi / 4, math.pi / 2]
-    calls = []
-    original = poisson_oracle._mc_constant
-
-    def counted(q, sq):
-        calls.append(q.theta)
-        return original(q, sq)
-
-    monkeypatch.setattr(poisson_oracle, "_mc_constant", counted)
-    bd = best_direction(4, 0.5, grid, sq)
-    assert sorted(calls) == grid
-    monkeypatch.undo()
-    _, err0 = directional_constant_with_error(DirectionalQuery(4, 0.5, 0.0), sq)
-    _, errs = directional_constant_with_error(DirectionalQuery(4, 0.5, bd.theta_star), sq)
     assert bd.allowance == err0 + errs + 1e-9

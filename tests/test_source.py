@@ -3,8 +3,9 @@
 
 No module other than ``__init__.py`` (which imports to re-export)
 imports a name it never reads, no module reads an underscore
-attribute of another package module it holds as an object, and every
-``meshgrid`` call builds an open mesh (``sparse=True``).
+attribute of another package module it holds as an object, every
+``meshgrid`` call builds an open mesh (``sparse=True``), and no module
+but ``poisson_oracle.py`` names the Monte Carlo method.
 """
 
 import ast
@@ -100,3 +101,24 @@ def test_dense_meshgrid_is_found():
 @pytest.mark.parametrize("module", ["__init__.py", *MODULES])
 def test_module_builds_only_open_meshes(module):
     assert _dense_meshgrids((PACKAGE / module).read_text()) == []
+
+
+def _string_constants(source, value):
+    """Lines of ``source`` where the string constant ``value`` occurs."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and node.value == value]
+
+
+def test_string_constant_is_found():
+    source = ('m = "monte_carlo"\n'
+              '# "monte_carlo" in a comment\n'
+              'f(method="monte_carlo", note="monte_carlo draws")\n')
+    assert _string_constants(source, "monte_carlo") == [1, 3]
+
+
+@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
+def test_monte_carlo_named_only_by_the_oracle(module):
+    """Monte Carlo is a single-query cross-check of ``poisson_oracle``:
+    no other module branches on it or builds it."""
+    found = _string_constants((PACKAGE / module).read_text(), "monte_carlo")
+    assert found == [] or module == "poisson_oracle.py"
