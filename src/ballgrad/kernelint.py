@@ -66,8 +66,8 @@ _WEIGHTS_KG[1::2, 1] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 @dataclass(frozen=True)
 class ParamSet:
-    """Radius and dimension of the profile integral, with its derived
-    parameters k, alpha and beta."""
+    """Radius and dimension of the profile integral, with the derived
+    alpha = r (n - 2) / n of its upper limits."""
 
     r: float
     n: int
@@ -83,16 +83,8 @@ class ParamSet:
             raise ValueError(f"r must lie in (0, 1), got {self.r}")
 
     @property
-    def k(self):
-        return (1.0 - self.r) / (1.0 + self.r)
-
-    @property
     def alpha(self):
         return self.r * (self.n - 2) / self.n
-
-    @property
-    def beta(self):
-        return (self.n - (self.n - 2) * self.r) / 2.0
 
 
 @dataclass(frozen=True)

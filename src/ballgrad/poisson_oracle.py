@@ -20,28 +20,31 @@ kernel call; a single query is its one-angle case.
 The polar integrand changes form where |alpha| = beta, at two
 closed-form kinks.  The interval [0, pi] is split there and at
 phi = (1-r) 4^k, which grade the pieces toward the peak of width about
-1 - r at e_n, and each piece takes ``nodes_polar`` Gauss-Legendre nodes
-from ``roots_legendre`` (Golub-Welsch in numpy, weights within 1e-13
-relative of 40-digit rules).  For odd n the integrand has half-integer
-powers of the distance to a kink, so each piece is mapped by
-phi = a + (b-a)(3s^2 - 2s^3).  With alpha and rho^2 formed from
+1 - r at e_n, and each piece takes _NODES_POLAR = 48 Gauss-Legendre
+nodes from ``roots_legendre`` (Golub-Welsch in numpy, weights within
+1e-13 relative of 40-digit rules).  The product rule takes no
+configuration: its error proxy is the node-halving delta, the same
+pieces integrated at half the nodes.  For odd n the integrand has
+half-integer powers of the distance to a kink, so each piece is mapped
+by phi = a + (b-a)(3s^2 - 2s^3).  With alpha and rho^2 formed from
 sin^2(phi/2), nothing cancels near the pole, and at theta = 0 the query
 keeps its accuracy up to r = 0.99999.
 
 Monte Carlo is a single-query cross-check: ``directional_constant``
-and ``directional_constant_with_error`` take it, and every profile
-(``direction_profile``, ``best_direction``) is the product rule's.  It
-draws its Philox normals in blocks of _BLOCK whole rows; each block is
-normalized and only its two coordinates that the kernel reads, zeta_n
-and zeta_1 over |zeta|, go to the kernel, so the estimate equals that of
-one (samples, n) draw bit for bit.  The kernel's |F| goes into one
+and ``directional_constant_with_error`` take it through a
+``SphereQuadrature``, which only their Monte Carlo branches read, and
+every profile (``direction_profile``, ``best_direction``) is the
+product rule's.  It draws its Philox normals in blocks of _BLOCK whole
+rows; each block is normalized and only its two coordinates that the
+kernel reads, zeta_n and zeta_1 over |zeta|, go to the kernel, so the
+estimate equals that of one (samples, n) draw bit for bit.  The kernel's |F| goes into one
 array, whose standard error is taken in place, so a query's other
 temporaries stay a block's size.
 """
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +53,12 @@ from .kernelint import sphere_area
 
 _BOUNDARY_TOL = 1e-12
 _KERNEL_MASS_NODES = 200
+#: Gauss-Legendre nodes per piece of the polar interval
+_NODES_POLAR = 48
+#: the product rule's method name, as its reports and tags record it
+PRODUCT_GAUSS = "product_gauss"
+#: the Monte Carlo seed, and the one a seeded report records by default
+DEFAULT_SEED = 20220417
 #: rows per Monte Carlo block: the draw and the kernel each touch this
 #: many sample points at a time
 _BLOCK = 1 << 14
@@ -82,17 +91,16 @@ class DirectionalQuery:
 
 @dataclass(frozen=True)
 class SphereQuadrature:
-    method: str = "product_gauss"
-    #: Gauss-Legendre nodes per piece of the polar interval
-    nodes_polar: int = 48
+    """The method of a single query; ``samples`` and ``seed`` are the
+    Monte Carlo draw's."""
+
+    method: str = PRODUCT_GAUSS
     samples: int = 200_000
-    seed: int = 20220417
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.method not in ("product_gauss", "monte_carlo"):
+        if self.method not in (PRODUCT_GAUSS, "monte_carlo"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.nodes_polar < 2:
-            raise ValueError("node count too small")
         if self.samples < 2:
             raise ValueError("need at least 2 samples")
 
@@ -248,13 +256,13 @@ def _polar_pieces(n, r, thetas):
     return (*sign, ends)
 
 
-def _polar_integrals(n, r, pieces, nodes_polar):
+def _polar_integrals(n, r, pieces, nodes):
     """C(x, v) at every angle of ``pieces`` (from _polar_pieces), with
-    ``nodes_polar`` nodes per piece: a list, from one kernel call.  An
-    angle's value does not depend on the others."""
+    ``nodes`` nodes per piece: a list, from one kernel call.  An angle's
+    value does not depend on the others."""
     alpha0, a1, B, ends = pieces
     width = ends[:, 1:] - ends[:, :-1]
-    s, w = _piece_rule(nodes_polar, n % 2 == 1)
+    s, w = _piece_rule(nodes, n % 2 == 1)
     phi = ends[:, :-1, None] + width[..., None] * s
     h2 = np.sin(0.5 * phi) ** 2
     sphi = np.sin(phi)
@@ -269,22 +277,13 @@ def _polar_integrals(n, r, pieces, nodes_polar):
     return [scale * math.fsum(row) for row in (width * (f @ w)).tolist()]
 
 
-def direction_profile(n, r, thetas, sq=SphereQuadrature()):
+def direction_profile(n, r, thetas):
     """The product-rule C(x, v) at every angle of ``thetas`` for one
     (n, r), a list from one kernel call; an angle's value does not depend
-    on the others.  Of ``sq`` only ``nodes_polar`` is read."""
+    on the others."""
     thetas = [float(t) for t in thetas]
     _validate(n, r, thetas)
-    return _polar_integrals(n, r, _polar_pieces(n, r, thetas), sq.nodes_polar)
-
-
-def _require_product_rule(sq):
-    """Raise ValueError unless ``sq`` is the product rule: a profile, or
-    a suite judged by fixed tolerances, takes no Monte Carlo."""
-    if sq.method != "product_gauss":
-        raise ValueError(f"method {sq.method!r} is a single-query cross-check "
-                         "of directional_constant(_with_error); profiles and "
-                         "suites take the product rule")
+    return _polar_integrals(n, r, _polar_pieces(n, r, thetas), _NODES_POLAR)
 
 
 def _mc_constant(q, sq):
@@ -319,20 +318,19 @@ def _mc_constant(q, sq):
     return float(mean), stderr
 
 
-def _error_proxies(n, r, thetas, values, sq):
-    """Error measures of ``values``, the product-rule answers at
-    ``thetas`` under ``sq``: their node-halving deltas, from one kernel
-    call."""
-    halved = replace(sq, nodes_polar=max(2, sq.nodes_polar // 2))
-    return [abs(v - c)
-            for v, c in zip(values, direction_profile(n, r, thetas, halved))]
+def _error_proxies(n, r, pieces, values):
+    """Error measures of ``values``, the product-rule answers on
+    ``pieces``: their node-halving deltas, from one kernel call on the
+    same pieces."""
+    halved = _polar_integrals(n, r, pieces, _NODES_POLAR // 2)
+    return [abs(v - c) for v, c in zip(values, halved)]
 
 
 def directional_constant(q, sq=SphereQuadrature()):
     """Directional sharp constant C(x, v) for the canonical query."""
     if sq.method == "monte_carlo":
         return _mc_constant(q, sq)[0]
-    return direction_profile(q.n, q.r, (q.theta,), sq)[0]
+    return direction_profile(q.n, q.r, (q.theta,))[0]
 
 
 def directional_constant_with_error(q, sq=SphereQuadrature()):
@@ -340,8 +338,9 @@ def directional_constant_with_error(q, sq=SphereQuadrature()):
     standard error, or the node-halving delta for the product rule."""
     if sq.method == "monte_carlo":
         return _mc_constant(q, sq)
-    values = direction_profile(q.n, q.r, (q.theta,), sq)
-    return values[0], _error_proxies(q.n, q.r, (q.theta,), values, sq)[0]
+    pieces = _polar_pieces(q.n, q.r, (q.theta,))
+    values = _polar_integrals(q.n, q.r, pieces, _NODES_POLAR)
+    return values[0], _error_proxies(q.n, q.r, pieces, values)[0]
 
 
 def directional_constant_vector(x, v, sq=SphereQuadrature()):
@@ -373,14 +372,13 @@ class BestDirection:
     allowance: float
 
 
-def best_direction(n, r, theta_grid, sq=SphereQuadrature()):
+def best_direction(n, r, theta_grid):
     """Maximize the product-rule direction profile over a theta grid.
 
     Returns the grid argmax, the full (theta, value) profile and the
     error allowance: the sum of the node-halving deltas at theta = 0 and
-    at the argmax.  A Monte Carlo ``sq`` raises ValueError, as a bad
-    argument does, before any kernel call.  The verdict on the profile
-    is ``proofcheck.conjecture_report``'s.
+    at the argmax, from the profile's own pieces at those two angles.
+    The verdict on the profile is ``proofcheck.conjecture_report``'s.
     """
     thetas = [float(t) for t in theta_grid]
     if not thetas:
@@ -388,24 +386,23 @@ def best_direction(n, r, theta_grid, sq=SphereQuadrature()):
     _validate(n, r, thetas)
     if 0.0 not in thetas:
         raise ValueError("theta_grid must contain 0")
-    _require_product_rule(sq)
-    values = direction_profile(n, r, thetas, sq)
+    pieces = _polar_pieces(n, r, thetas)
+    values = _polar_integrals(n, r, pieces, _NODES_POLAR)
     star = max(range(len(thetas)), key=values.__getitem__)
     zero = thetas.index(0.0)
     at = sorted({zero, star})
-    # reuses the profile values: only the coarse pass runs
-    err = dict(zip(at, _error_proxies(n, r, [thetas[i] for i in at],
-                                      [values[i] for i in at], sq)))
+    err = dict(zip(at, _error_proxies(n, r, tuple(p[at] for p in pieces),
+                                      [values[i] for i in at])))
     return BestDirection(theta_star=thetas[star],
                          profile=tuple(zip(thetas, values)),
                          allowance=err[zero] + err[star] + 1e-9)
 
 
-def extremal_check(n, r, sq=SphereQuadrature()):
-    """The theta = 0 query under the product rule, whatever ``sq.method``
-    says: the boundary data sign<grad P, e_n> attains the normal-direction
-    constant, the integral of |<grad P, e_n>|."""
-    return direction_profile(n, r, (0.0,), sq)[0]
+def extremal_check(n, r):
+    """The theta = 0 product-rule query: the boundary data
+    sign<grad P, e_n> attains the normal-direction constant, the integral
+    of |<grad P, e_n>|."""
+    return direction_profile(n, r, (0.0,))[0]
 
 
 def kernel_mass(r, n):

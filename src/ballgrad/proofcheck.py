@@ -44,10 +44,10 @@ from .closedform4 import (_atan_den, _c_at_zero_arr, _c_closed_arr,
                           _h3, _psi_closed_arr, _sqrt_s, _v_certificate_arr)
 from .exceptions import EvaluationError
 from .kernelint import q_partial_fractions
-from .poisson_oracle import (DirectionalQuery, SphereQuadrature,
-                             _require_product_rule, best_direction,
-                             direction_profile, directional_constant_with_error,
-                             kernel_mass, poisson_gradient, poisson_kernel)
+from .poisson_oracle import (DEFAULT_SEED, PRODUCT_GAUSS, DirectionalQuery,
+                             best_direction, direction_profile,
+                             directional_constant, kernel_mass,
+                             poisson_gradient, poisson_kernel)
 
 _COMPLEX_STEP = 1e-30  # h in f'(x) = Im f(x + ih) / h: nothing cancels
 
@@ -629,9 +629,10 @@ def run_inequality_suite(tolerance=1e-12):
 
 SupResult = namedtuple("SupResult", ["z_star", "c_star"])
 _SUP_Z_MAX = 6.0  # right edge of the seed grid
+_SUP_GRID_POINTS = 512  # points of the seed grid, z = 0 included
 
 
-def locate_sup(r, n=4, grid_points=512):
+def locate_sup(r, n=4):
     """Maximize z -> C(z, r) over the log grid [0] + geomspace(1e-8, 6).
 
     ``r`` is one radius or a 1-D array of radii: a scalar gives one
@@ -653,7 +654,8 @@ def locate_sup(r, n=4, grid_points=512):
         if not 0.0 < rk < 1.0:
             raise ValueError(f"r must lie in (0, 1), got {rk}")
 
-    grid = np.concatenate([[0.0], np.geomspace(1e-8, _SUP_Z_MAX, grid_points - 1)])
+    grid = np.concatenate([[0.0], np.geomspace(1e-8, _SUP_Z_MAX,
+                                               _SUP_GRID_POINTS - 1)])
     if n == 4:
         vals = _c_closed_arr(radii[:, None], grid)
     else:
@@ -662,7 +664,7 @@ def locate_sup(r, n=4, grid_points=512):
                           for v in direction_profile(n, rk, thetas)]
                          for rk in radii.tolist()])
     i = np.argmax(vals, axis=1)
-    edge = radii[i == grid_points - 1]
+    edge = radii[i == _SUP_GRID_POINTS - 1]
     if edge.size:
         raise EvaluationError(f"maximum of C(., {edge[0]}) keeps running "
                               f"past z = {_SUP_Z_MAX}")
@@ -689,22 +691,23 @@ def sup_reports(n, radii):
             tol, note = None, "exploratory: maximizer reported, not judged"
         reports.append(VerificationReport(
             case_name=f"sup_n{n}_r{r:.2f}",
-            sample_desc="512-point log grid",
+            sample_desc=f"{_SUP_GRID_POINTS}-point log grid",
             worst_violation=worst, worst_location=(float(r), res.z_star),
             tolerance=tol, passed=ok, method="log_grid",
             note=note))
     return reports
 
 
-def conjecture_report(n, r_grid, theta_grid, sq=SphereQuadrature()):
+def conjecture_report(n, r_grid, theta_grid, seed=DEFAULT_SEED):
     """Aggregate best_direction over a radius grid, under the product
-    rule (a Monte Carlo ``sq`` raises ValueError).
+    rule.
 
     For n = 4 this is a genuine pass/fail check: theta = 0 must maximize
     every profile within the quadrature error allowance.  n = 2 runs a
     direction-independence (flatness) check instead: a relative spread
     of at most 1e-5.  Any other dimension is exploratory -- reported,
-    never failed.  The report records ``sq.seed``.
+    never failed.  The report records ``seed``; the product rule draws
+    nothing.
     """
     r_grid = [float(r) for r in r_grid]
     theta_grid = [float(t) for t in theta_grid]
@@ -714,7 +717,7 @@ def conjecture_report(n, r_grid, theta_grid, sq=SphereQuadrature()):
     worst = -math.inf
     where = None
     for r in r_grid:
-        bd = best_direction(n, r, theta_grid, sq)
+        bd = best_direction(n, r, theta_grid)
         if n == 2:
             values = [v for _, v in bd.profile]
             spread = (max(values) - min(values)) / max(values)
@@ -741,27 +744,25 @@ def conjecture_report(n, r_grid, theta_grid, sq=SphereQuadrature()):
         case_name=f"conjecture_n{n}",
         sample_desc=f"{len(r_grid)} radii x {len(theta_grid)} angles",
         worst_violation=worst, worst_location=where, tolerance=tolerance,
-        passed=tolerance is None or worst <= tolerance, seed=sq.seed,
-        method=sq.method, note=note)
+        passed=tolerance is None or worst <= tolerance, seed=seed,
+        method=PRODUCT_GAUSS, note=note)
 
 
-def oracle_reports(n, sq, tol):
-    """The oracle self-tests, seeded by ``sq.seed``, under the product
-    rule (a Monte Carlo ``sq`` raises ValueError before any query).  The
-    oracle's values are judged against the known constants by fixed
-    tolerances: 1e-8 for the disk and ``tol`` for the n = 4 closed
-    form."""
-    _require_product_rule(sq)
+def oracle_reports(n, seed, tol):
+    """The oracle self-tests: ``seed`` draws the gradient check's points,
+    and every report records it.  The product rule's values are judged
+    against the known constants by fixed tolerances: 1e-8 for the disk
+    and ``tol`` for the n = 4 closed form."""
     reports = []
 
     dev = max(abs(kernel_mass(r, n) - 1.0) for r in (0.0, 0.3, 0.6, 0.9))
     reports.append(VerificationReport(
         case_name="kernel_mass", sample_desc="r in {0, 0.3, 0.6, 0.9}",
         worst_violation=dev, worst_location=(), tolerance=1e-8,
-        passed=dev <= 1e-8, seed=sq.seed, method="gauss_legendre",
+        passed=dev <= 1e-8, seed=seed, method="gauss_legendre",
         note=f"normalized kernel integrates to 1 (n={n})"))
 
-    rng = np.random.Generator(np.random.Philox(sq.seed))
+    rng = np.random.Generator(np.random.Philox(seed))
     worst_fd = 0.0
     for _ in range(5):
         x = 0.6 * rng.standard_normal(n)
@@ -779,27 +780,27 @@ def oracle_reports(n, sq, tol):
     reports.append(VerificationReport(
         case_name="gradient_vs_fd", sample_desc="5 random (x, zeta) pairs",
         worst_violation=float(worst_fd), worst_location=(), tolerance=1e-8,
-        passed=bool(worst_fd <= 1e-8), seed=sq.seed, method="central_fd",
+        passed=bool(worst_fd <= 1e-8), seed=seed, method="central_fd",
         note="analytic kernel gradient against finite differences"))
 
-    v, _ = directional_constant_with_error(DirectionalQuery(2, 0.0, 0.0), sq)
+    v = directional_constant(DirectionalQuery(2, 0.0, 0.0))
     dev2 = abs(v - 4.0 / math.pi)
     reports.append(VerificationReport(
         case_name="disk_center", sample_desc="n=2, r=0, theta=0",
         worst_violation=dev2, worst_location=(), tolerance=1e-8,
-        passed=dev2 <= 1e-8, seed=sq.seed, method=sq.method,
+        passed=dev2 <= 1e-8, seed=seed, method=PRODUCT_GAUSS,
         note="classical disk constant 4/pi at the center"))
 
     # (relative deviation, r): the first largest
     cases = []
     radii = (0.1, 0.3, 0.5, 0.7, 0.9)
     for r, ref in zip(radii, _gradient_bound_arr(np.array(radii)).tolist()):
-        v, _ = directional_constant_with_error(DirectionalQuery(4, r, 0.0), sq)
+        v = directional_constant(DirectionalQuery(4, r, 0.0))
         cases.append((abs(v - ref) / ref, r))
     worst_cmp, r = max(cases, key=lambda c: c[0])
     reports.append(VerificationReport(
         case_name="oracle_vs_closed_n4", sample_desc="r in {0.1,...,0.9}",
         worst_violation=worst_cmp, worst_location=(r,), tolerance=tol,
-        passed=worst_cmp <= tol, seed=sq.seed, method=sq.method,
+        passed=worst_cmp <= tol, seed=seed, method=PRODUCT_GAUSS,
         note="spherical quadrature against the closed-form bound"))
     return reports

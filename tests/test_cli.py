@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ballgrad import poisson_oracle
+from ballgrad import proofcheck
 from ballgrad.cli import _DEFAULT_TOLS, _field_dict, build_parser, main
 from ballgrad.closedform4 import (c_at_zero, frak_c, gradient_bound,
                                   sharp_constant_report)
@@ -262,14 +262,15 @@ def test_verify_conjecture_exploratory_dimension_exits_zero(capsys):
 
 def _tilt_profiles(monkeypatch):
     """Make every product-rule profile grow with the angle:
-    ``best_direction`` looks ``direction_profile`` up at call time."""
-    original = poisson_oracle.direction_profile
+    ``conjecture_report`` looks ``best_direction`` up at call time."""
+    original = proofcheck.best_direction
 
-    def tilted(n, r, thetas, sq=poisson_oracle.SphereQuadrature()):
-        values = original(n, r, thetas, sq)
-        return [v * (1.0 + float(t)) for v, t in zip(values, thetas)]
+    def tilted(n, r, theta_grid):
+        bd = original(n, r, theta_grid)
+        return dataclasses.replace(bd, profile=tuple(
+            (t, v * (1.0 + t)) for t, v in bd.profile))
 
-    monkeypatch.setattr(poisson_oracle, "direction_profile", tilted)
+    monkeypatch.setattr(proofcheck, "best_direction", tilted)
 
 
 def test_verify_conjecture_failed_disk_check_exits_one(capsys, monkeypatch):

@@ -26,8 +26,7 @@ from ballgrad.kernelint import (
     q_partial_fractions,
     sphere_area,
 )
-from ballgrad.poisson_oracle import (DirectionalQuery, SphereQuadrature,
-                                     directional_constant)
+from ballgrad.poisson_oracle import _polar_integrals, _polar_pieces
 
 # mpmath references for the three-dimensional ball
 PSI_N3_REF = {
@@ -59,9 +58,7 @@ def test_sphere_area_rejects_dimensions_whose_gamma_overflows():
 
 def test_param_set_from_radius():
     ps = ParamSet.from_radius(0.5, 4)
-    assert math.isclose(ps.k, 1.0 / 3.0, rel_tol=1e-15)
     assert ps.alpha == 0.25
-    assert ps.beta == 1.5
     with pytest.raises(ValueError):
         ParamSet.from_radius(0.5, 2)
     with pytest.raises(ValueError):
@@ -269,7 +266,8 @@ def test_adaptive_quad_stops_at_exactly_max_subdivisions(budget):
 
 def _psi_per_z(z, ps, q):
     # the integrand mapped to s in [0, 1] by w = U(z) s, one quadrature per z
-    n, beta, k = ps.n, ps.beta, ps.k
+    n, r = ps.n, ps.r
+    beta, k = (n - (n - 2) * r) / 2.0, (1.0 - r) / (1.0 + r)
     upper = (z + math.sqrt(z * z + 1.0 - ps.alpha ** 2)) / (1.0 - ps.alpha)
 
     def f(s):
@@ -414,8 +412,7 @@ def test_c_numeric_odd_dimension_matches_the_oracle_at_the_axis(n, r):
     substituted away, so C(0, r) meets the oracle's (1 - r) C(r e_n, e_n)
     to near roundoff."""
     val, _ = c_numeric(EvalPoint(r, 0.0), ParamSet.from_radius(r, n))
-    sq = SphereQuadrature(nodes_polar=200)
-    ref = (1.0 - r) * directional_constant(DirectionalQuery(n, r, 0.0), sq)
+    ref = (1.0 - r) * _polar_integrals(n, r, _polar_pieces(n, r, [0.0]), 200)[0]
     assert abs(val - ref) / ref < 5e-14
 
 

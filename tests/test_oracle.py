@@ -28,11 +28,14 @@ from ballgrad import _kernels_py, poisson_oracle
 from ballgrad._kernels_py import grad_dot_batch
 from ballgrad.closedform4 import _c_closed_arr
 from ballgrad.kernelint import ParamSet, QuadratureSpec, c_numeric, sphere_area
-from ballgrad.proofcheck import conjecture_report, locate_sup, oracle_reports
+from ballgrad.cli import main
+from ballgrad.proofcheck import conjecture_report, locate_sup
 from ballgrad.poisson_oracle import (
     _gauss_legendre,
     _kink_points,
     _piece_rule,
+    _polar_integrals,
+    _polar_pieces,
     best_direction,
     direction_profile,
     directional_constant,
@@ -144,7 +147,7 @@ def test_near_tangential_continuity():
 def test_extremal_check_consistent():
     """Sign-resolved integration reproduces |.|-integration at theta = 0."""
     for n, r in ((4, 0.5), (3, 0.3)):
-        a = extremal_check(n, r, SQ)
+        a = extremal_check(n, r)
         b = directional_constant(DirectionalQuery(n, r, 0.0), SQ)
         assert abs(a - b) / b < 1e-13
 
@@ -164,8 +167,12 @@ def test_disk_direction_independence():
 
 
 def test_center_constant_direction_free():
-    sq = SphereQuadrature(nodes_polar=128)
-    got = directional_constant_vector(np.zeros(4), np.array([0.3, -1.0, 0.2, 0.5]), sq)
+    """At the center every direction is normal: the vector interface
+    folds to theta = 0, whose value at 128 nodes per piece is 16/(3 pi)."""
+    v = np.array([0.3, -1.0, 0.2, 0.5])
+    assert directional_constant_vector(np.zeros(4), v, SQ) \
+        == directional_constant(DirectionalQuery(4, 0.0, 0.0), SQ)
+    got = _polar_integrals(4, 0.0, _polar_pieces(4, 0.0, [0.0]), 128)[0]
     assert abs(got - 16.0 / (3.0 * math.pi)) < 1e-12
 
 
@@ -324,14 +331,14 @@ def test_grad_dot_kernel_matches_the_cartesian_gradient(n):
 
 def test_best_direction_normal_wins():
     grid = np.linspace(0.0, math.pi / 2, 9)
-    bd = best_direction(4, 0.6, grid, SQ)
+    bd = best_direction(4, 0.6, grid)
     assert bd.theta_star == 0.0
-    assert conjecture_report(4, [0.6], grid, SQ).passed
+    assert conjecture_report(4, [0.6], grid).passed
     assert len(bd.profile) == 9
     values = [v for _, v in bd.profile]
     assert values[0] == max(values)
     with pytest.raises(ValueError):
-        best_direction(4, 0.6, [0.1, 0.4], SQ)  # grid must contain 0
+        best_direction(4, 0.6, [0.1, 0.4])  # grid must contain 0
 
 
 def _sign_factor(n, r, ct, st, u, cphi, sphi):
@@ -425,11 +432,12 @@ def test_odd_dimension_pieces_converge(n, r):
     """For odd n the polar integrand has half-integer powers of the
     distance to a kink; mapped to smooth ends, 24 nodes per piece agree
     with 200."""
-    for theta in (0.3, 0.7, 1.4):
-        q = DirectionalQuery(n, r, theta)
-        coarse = directional_constant(q, SphereQuadrature(nodes_polar=24))
-        fine = directional_constant(q, SphereQuadrature(nodes_polar=200))
-        assert abs(coarse - fine) / fine < 1e-14, theta
+    thetas = (0.3, 0.7, 1.4)
+    pieces = _polar_pieces(n, r, thetas)
+    coarse = _polar_integrals(n, r, pieces, 24)
+    fine = _polar_integrals(n, r, pieces, 200)
+    for theta, c, f in zip(thetas, coarse, fine):
+        assert abs(c - f) / f < 1e-14, theta
 
 
 def _count_kernel_calls(monkeypatch):
@@ -462,7 +470,7 @@ def test_best_direction_profile_is_the_one_angle_queries(n, r):
     """The batched profile, on a grid with theta = 0 (merged kinks) and
     pi/2 (kinks at the poles), equals one query per angle bit for bit;
     so does the allowance, from the one-angle error proxies."""
-    bd = best_direction(n, r, SWEEP_GRID, SQ)
+    bd = best_direction(n, r, SWEEP_GRID)
     assert SWEEP_GRID[0] == 0.0 and SWEEP_GRID[-1] == math.pi / 2
     assert bd.profile == tuple(
         (t, directional_constant(DirectionalQuery(n, r, t), SQ))
@@ -476,19 +484,58 @@ def test_best_direction_makes_two_kernel_calls(monkeypatch):
     """A product-rule profile is one kernel call over every angle, and its
     error proxies at theta = 0 and the argmax one more."""
     calls = _count_kernel_calls(monkeypatch)
-    best_direction(4, 0.05, SWEEP_GRID, SQ)
+    best_direction(4, 0.05, SWEEP_GRID)
     assert calls == ["polar_integrand_batch"] * 2
 
 
-@pytest.mark.parametrize("n,r,bad_theta", [
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("r", [0.0, 0.05, 0.5, 0.9, 0.9999])
+def test_best_direction_allowance_is_the_fresh_node_halving_deltas(n, r):
+    """The allowance, from the profile's own pieces at theta = 0 and the
+    argmax, equals bit for bit the deltas against a fresh 24-node
+    integral of each of the two angles alone, plus 1e-9."""
+    bd = best_direction(n, r, SWEEP_GRID)
+    values = dict(bd.profile)
+    deltas = [abs(values[t]
+                  - _polar_integrals(n, r, _polar_pieces(n, r, [t]), 24)[0])
+              for t in (0.0, bd.theta_star)]
+    assert bd.allowance == deltas[0] + deltas[1] + 1e-9
+
+
+def test_query_with_error_builds_its_pieces_once(monkeypatch):
+    """The value and its node-halving proxy integrate the same pieces."""
+    built = []
+
+    def counted(*args, _original=poisson_oracle._polar_pieces):
+        built.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(poisson_oracle, "_polar_pieces", counted)
+    directional_constant_with_error(DirectionalQuery(4, 0.5, 0.3))
+    assert len(built) == 1
+
+
+def test_verify_oracle_makes_one_kernel_call_per_query(monkeypatch, capsys):
+    """The oracle suite reads only the values of its six product-rule
+    queries (disk center and five n = 4 radii): no error proxies."""
+    calls = _count_kernel_calls(monkeypatch)
+    assert main(["verify", "oracle", "--json", "--no-timing"]) == 0
+    capsys.readouterr()
+    assert calls == ["polar_integrand_batch"] * 6
+
+
+BAD_QUERY_ARGS = [
     (1, 0.5, None), (2.5, 0.5, None),
     (4, -0.1, None), (4, 1.0, None),
     (4, 0.5, -1e-3), (4, 0.5, math.pi / 2 + 1e-12),
-])
-@pytest.mark.parametrize("sq", [SQ, SphereQuadrature(method="monte_carlo",
-                                                     samples=1_000)],
-                         ids=["product", "monte_carlo"])
-def test_best_direction_validates_like_a_query(monkeypatch, n, r, bad_theta, sq):
+]
+
+
+# ids as the suite printed them when the rule was a parameter, so each
+# case's results stay under one name across versions
+@pytest.mark.parametrize("n,r,bad_theta", BAD_QUERY_ARGS,
+                         ids=[f"product-{n}-{r}-{t}" for n, r, t in BAD_QUERY_ARGS])
+def test_best_direction_validates_like_a_query(monkeypatch, n, r, bad_theta):
     """A bad dimension, radius or angle raises the ValueError that
     DirectionalQuery raises for it, before any kernel call, in a profile
     and in its maximization."""
@@ -498,23 +545,8 @@ def test_best_direction_validates_like_a_query(monkeypatch, n, r, bad_theta, sq)
     calls = _count_kernel_calls(monkeypatch)
     for profile in (best_direction, direction_profile):
         with pytest.raises(ValueError) as got:
-            profile(n, r, [0.0, 0.3, theta], sq)
+            profile(n, r, [0.0, 0.3, theta])
         assert str(got.value) == str(expected.value)
-    assert calls == []
-
-
-def test_profiles_and_suites_reject_monte_carlo(monkeypatch):
-    """Monte Carlo is a single-query cross-check: a profile, the direction
-    sweep and the oracle suite raise ValueError for it before any kernel
-    call."""
-    mc = SphereQuadrature(method="monte_carlo", samples=1_000)
-    calls = _count_kernel_calls(monkeypatch)
-    grid = [0.0, 0.3]
-    for run in (lambda: best_direction(4, 0.5, grid, mc),
-                lambda: conjecture_report(4, [0.5], grid, mc),
-                lambda: oracle_reports(4, mc, 1e-6)):
-        with pytest.raises(ValueError, match="monte_carlo"):
-            run()
     assert calls == []
 
 
@@ -600,17 +632,16 @@ def test_gauss_rules_match_40_digit_rules(m):
     assert weight_err <= 1e-13
 
 
-@pytest.mark.parametrize("n,r,sq", [
-    (4, 0.5, SQ),
-    (2, 0.9, SQ),  # flat profile: the argmax is an interior angle
-    (4, 0.5, SphereQuadrature(nodes_polar=24)),  # a coarser rule
-])
-def test_best_direction_allowance_from_error_proxies(n, r, sq):
+@pytest.mark.parametrize("n,r", [
+    (4, 0.5),
+    (2, 0.9),  # flat profile: the argmax is an interior angle
+], ids=["4-0.5-sq0", "2-0.9-sq1"])  # ids kept, as above
+def test_best_direction_allowance_from_error_proxies(n, r):
     """The profile repeats, and the allowance is the two error measures
     that directional_constant_with_error reports, plus 1e-9."""
     grid = np.linspace(0.0, math.pi / 2, 9)
-    bd = best_direction(n, r, grid, sq)
-    assert best_direction(n, r, grid, sq).profile == bd.profile
-    _, err0 = directional_constant_with_error(DirectionalQuery(n, r, 0.0), sq)
-    _, errs = directional_constant_with_error(DirectionalQuery(n, r, bd.theta_star), sq)
+    bd = best_direction(n, r, grid)
+    assert best_direction(n, r, grid).profile == bd.profile
+    _, err0 = directional_constant_with_error(DirectionalQuery(n, r, 0.0))
+    _, errs = directional_constant_with_error(DirectionalQuery(n, r, bd.theta_star))
     assert bd.allowance == err0 + errs + 1e-9

@@ -394,7 +394,7 @@ def test_locate_sup_at_axis(r):
 
 
 def test_locate_sup_other_dimension():
-    res = locate_sup(0.5, n=3, grid_points=48)
+    res = locate_sup(0.5, n=3)
     assert res.z_star <= 1e-4
     assert res.c_star == pytest.approx(1.0068508881177473, rel=1e-13)
 
@@ -418,8 +418,8 @@ def test_locate_sup_batch_matches_per_radius():
 
 def test_locate_sup_batch_other_dimension_is_exact():
     radii = np.array([0.2, 0.5, 0.8])
-    batch = locate_sup(radii, n=3, grid_points=48)
-    assert batch == [locate_sup(float(r), n=3, grid_points=48) for r in radii]
+    batch = locate_sup(radii, n=3)
+    assert batch == [locate_sup(float(r), n=3) for r in radii]
 
 
 def _peaked_profile(peaks, calls):

@@ -4,8 +4,10 @@
 No module other than ``__init__.py`` (which imports to re-export)
 imports a name it never reads, no module reads an underscore
 attribute of another package module it holds as an object, every
-``meshgrid`` call builds an open mesh (``sparse=True``), and no module
-but ``poisson_oracle.py`` names the Monte Carlo method.
+``meshgrid`` call builds an open mesh (``sparse=True``), no module but
+``poisson_oracle.py`` names the Monte Carlo method, and no module but
+``poisson_oracle.py`` and the ``__init__.py`` re-export names
+``SphereQuadrature``.
 """
 
 import ast
@@ -122,3 +124,32 @@ def test_monte_carlo_named_only_by_the_oracle(module):
     no other module branches on it or builds it."""
     found = _string_constants((PACKAGE / module).read_text(), "monte_carlo")
     assert found == [] or module == "poisson_oracle.py"
+
+
+def _name_uses(source, name):
+    """Lines of ``source`` that name ``name``: a read or binding, an
+    attribute, or an import (under its own name or an alias)."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Name) and node.id == name
+                   or isinstance(node, ast.Attribute) and node.attr == name
+                   or isinstance(node, (ast.Import, ast.ImportFrom))
+                   and any(name in (a.name, a.asname) for a in node.names)})
+
+
+def test_name_use_is_found():
+    source = ("from .poisson_oracle import (SphereQuadrature,\n"
+              "                             best_direction)\n"
+              "import ballgrad.poisson_oracle as po\n"
+              "sq = po.SphereQuadrature(seed=1)\n"
+              "# SphereQuadrature in a comment\n"
+              "f(SphereQuadrature, note='SphereQuadrature')\n")
+    assert _name_uses(source, "SphereQuadrature") == [1, 4, 6]
+
+
+@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
+def test_sphere_quadrature_named_only_by_the_oracle(module):
+    """The product rule takes no configuration: only the single queries'
+    Monte Carlo branches read a ``SphereQuadrature``, so no other module
+    builds or passes one."""
+    found = _name_uses((PACKAGE / module).read_text(), "SphereQuadrature")
+    assert found == [] or module in ("poisson_oracle.py", "__init__.py")
