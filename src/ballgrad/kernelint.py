@@ -14,7 +14,8 @@ outer round of C(z, r) are running sums over the pieces between their
 sorted upper limits, one batch with one kernel call per round.  This
 holds in every dimension, n = 4 included, so nothing here uses the
 n = 4 closed forms it is checked against.  The outer t rule is chosen
-by the parity of n.
+by the parity of n.  The engine's settings are a tolerance and an
+endpoint mode; C(z, r) runs at 1e-12 and each profile integral at 1e-13.
 """
 
 import math
@@ -26,6 +27,7 @@ from . import backend
 from .exceptions import QuadratureError
 
 _EPS = np.finfo(float).eps
+_MAX_PANELS = 256
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]; positive half.
 _XK = np.array([
@@ -89,19 +91,20 @@ class ParamSet:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_subdivisions: int = 256
+    """An integral I meets ``tol`` if its error is <= max(tol, tol*|I|)."""
+
+    tol: float = 1e-12
     endpoint_mode: str = "regular"
 
     def __post_init__(self):
         floor = 16.0 * _EPS
-        if self.abs_tol < floor or self.rel_tol < floor:
-            raise ValueError(f"tolerances must be >= {floor:.3g}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        if not floor <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= {floor:.3g}, got {self.tol}")
         if self.endpoint_mode not in ("regular", "algebraic_singularity"):
             raise ValueError(f"unknown endpoint_mode {self.endpoint_mode!r}")
+
+
+_C_SPEC, _PSI_SPEC = QuadratureSpec(tol=1e-12), QuadratureSpec(tol=1e-13)
 
 
 def sphere_area(n):
@@ -172,12 +175,12 @@ def adaptive_quad(f, a, b, q=QuadratureSpec()):
     position order.
 
     The panels are refined breadth first until every component meets
-    its own tolerance max(abs_tol, rel_tol*|I_i|).  Each round splits
-    every panel whose error exceeds its share, tolerance / P, of some
-    missed component's tolerance, and evaluates all the halves in one
-    call of ``f``, so results are reproducible bit-for-bit.  A round that
-    would pass max_subdivisions panels splits only the panels furthest
-    over their share, up to the budget; at max_subdivisions panels a
+    its own tolerance max(tol, tol*|I_i|).  Each round splits every
+    panel whose error exceeds its share, tolerance / P, of some missed
+    component's tolerance, and evaluates all the halves in one call of
+    ``f``, so results are reproducible bit-for-bit.  A round that would
+    pass _MAX_PANELS (256) panels splits only the panels furthest over
+    their share, up to the budget; at _MAX_PANELS panels a
     QuadratureError carries the partial result and, in vector mode,
     names the components that missed.
 
@@ -208,12 +211,12 @@ def adaptive_quad(f, a, b, q=QuadratureSpec()):
     edges = np.array([a, b], dtype=float)  # panel j is [edges[j], edges[j+1]]
     val, err = _gk_panels(rows, edges[:-1], edges[1:])
     while True:
-        tol = np.maximum(q.abs_tol, q.rel_tol * np.abs(val.sum(axis=1)))
+        tol = np.maximum(q.tol, q.tol * np.abs(val.sum(axis=1)))
         missed = err.sum(axis=1) > tol
         if not missed.any():
             return result(_fsum_rows(val), _fsum_rows(err))
         npanels = edges.size - 1
-        if npanels >= q.max_subdivisions:
+        if npanels >= _MAX_PANELS:
             where = "" if one else f" in components {np.flatnonzero(missed).tolist()}"
             value, err_estimate = result(_fsum_rows(val), _fsum_rows(err))
             raise QuadratureError(
@@ -225,7 +228,7 @@ def adaptive_quad(f, a, b, q=QuadratureSpec()):
         excess = (err[missed] / tol[missed, None]).max(axis=0) * npanels
         split = excess > 1.0
         split[np.argmax(excess)] = True  # rounding can leave every share met
-        budget = q.max_subdivisions - npanels
+        budget = _MAX_PANELS - npanels
         if np.count_nonzero(split) > budget:
             split[:] = False
             split[np.argsort(-excess, kind="stable")[:budget]] = True
@@ -238,7 +241,7 @@ def adaptive_quad(f, a, b, q=QuadratureSpec()):
         val[:, kids], err[:, kids] = _gk_panels(rows, edges[:-1][kids], edges[1:][kids])
 
 
-def _psi_numeric_arr(zs, ps, q):
+def _psi_numeric_arr(zs, ps):
     """Profile integrals Psi(z) for a 1-D array of signed z, in one
     vector-mode quadrature.
 
@@ -249,7 +252,7 @@ def _psi_numeric_arr(zs, ps, q):
     (a + z_j b)(U_(l-1) + (U_l - U_(l-1)) s) (U_l - U_(l-1)), whose
     integral over s is exactly Psi(z_j).  Every z shares one panel tree,
     each row meets its own tolerance, and each panel round is one kernel
-    call on a (K, 15 P) grid.  Returns (values, err_estimates) as arrays.
+    call on a (K, 15 P) grid, at 1e-13.  Returns (values, err_estimates).
     """
     zs = np.asarray(zs, dtype=float)
     upper = (zs + np.sqrt(zs * zs + 1.0 - ps.alpha ** 2)) / (1.0 - ps.alpha)
@@ -263,7 +266,7 @@ def _psi_numeric_arr(zs, ps, q):
                          * widths, axis=1)
         return a[piece] + zs[:, None] * b[piece]
 
-    return adaptive_quad(f, 0.0, 1.0, q)
+    return adaptive_quad(f, 0.0, 1.0, _PSI_SPEC)
 
 
 def _check_radius(p, ps):
@@ -272,8 +275,8 @@ def _check_radius(p, ps):
                          f"radius {ps.r}")
 
 
-def psi_numeric(p, sign, ps, q=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)):
-    """Profile integral by adaptive quadrature; oracle pair of psi_closed.
+def psi_numeric(p, sign, ps):
+    """Profile integral by quadrature at 1e-13; oracle pair of psi_closed.
 
     ``sign=-1`` replaces z by -z in both the integrand and the upper
     limit.  Returns (value, err_estimate).
@@ -281,29 +284,26 @@ def psi_numeric(p, sign, ps, q=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     _check_radius(p, ps)
-    val, err = _psi_numeric_arr([sign * p.z], ps, q)
+    val, err = _psi_numeric_arr([sign * p.z], ps)
     return float(val[0]), float(err[0])
 
 
-def _psi_pair_at(ps, p, tgrid, q):
+def _psi_pair_at(ps, p, tgrid):
     """Psi(z t) + Psi(-z t) for an array of t values, all 2m profile
     integrals in one vector-mode quadrature."""
-    inner = QuadratureSpec(abs_tol=q.abs_tol / 10.0, rel_tol=q.rel_tol / 10.0,
-                           max_subdivisions=q.max_subdivisions)
     zt = p.z * np.asarray(tgrid)
-    vals, _ = _psi_numeric_arr(np.concatenate([zt, -zt]), ps, inner)
+    vals, _ = _psi_numeric_arr(np.concatenate([zt, -zt]), ps)
     return vals[:zt.size] + vals[zt.size:]
 
 
-def c_numeric(p, ps, q=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
-              n3_scheme="sin_substitution"):
+def c_numeric(p, ps, n3_scheme="sin_substitution"):
     """Directional constant C(z, r) by quadrature of its integral
-    representation; oracle pair of c_closed for n = 4.
+    representation at 1e-12; oracle pair of c_closed for n = 4.
 
     The inner profile values Psi(+-z t) are integrals too, in every
     dimension: each outer round splits P panels, and the 30 P of them at
-    its 15 P t nodes go through one vector-mode quadrature at a tenth of
-    the outer tolerance.  No closed form is used, so for n = 4 this is a check of
+    its 15 P t nodes go through one vector-mode quadrature at 1e-13.
+    No closed form is used, so for n = 4 this is a check of
     c_closed that shares no code with it.
 
     The outer rule follows the parity of n.  For even n the weight
@@ -325,16 +325,16 @@ def c_numeric(p, ps, q=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12),
 
     if n == 3 and n3_scheme == "endpoint_weight":
         def f(t):
-            return _psi_pair_at(ps, p, t, q) / np.sqrt(1.0 - t * t)
-        sq = replace(q, endpoint_mode="algebraic_singularity")
+            return _psi_pair_at(ps, p, t) / np.sqrt(1.0 - t * t)
+        sq = replace(_C_SPEC, endpoint_mode="algebraic_singularity")
         val, err = adaptive_quad(f, 0.0, 1.0, sq)
     elif n % 2:
         def f(theta):
-            return _psi_pair_at(ps, p, np.sin(theta), q) * np.cos(theta) ** (n - 3)
-        val, err = adaptive_quad(f, 0.0, math.pi / 2.0, q)
+            return _psi_pair_at(ps, p, np.sin(theta)) * np.cos(theta) ** (n - 3)
+        val, err = adaptive_quad(f, 0.0, math.pi / 2.0, _C_SPEC)
     else:
         def f(t):
-            return _psi_pair_at(ps, p, t, q) * (1.0 - t * t) ** ((n - 4) / 2.0)
-        val, err = adaptive_quad(f, 0.0, 1.0, q)
+            return _psi_pair_at(ps, p, t) * (1.0 - t * t) ** ((n - 4) / 2.0)
+        val, err = adaptive_quad(f, 0.0, 1.0, _C_SPEC)
 
     return pref * val / norm, pref * err / norm

@@ -28,7 +28,7 @@ from ballgrad import (
     halfspace_constant,
     psi_closed,
 )
-from ballgrad.kernelint import ParamSet, QuadratureSpec, c_numeric, psi_numeric
+from ballgrad.kernelint import ParamSet, c_numeric, psi_numeric
 from ballgrad.poisson_oracle import (
     directional_constant,
     kernel_mass,

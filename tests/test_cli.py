@@ -14,6 +14,7 @@ from ballgrad import proofcheck
 from ballgrad.cli import _DEFAULT_TOLS, _field_dict, build_parser, main
 from ballgrad.closedform4 import (c_at_zero, frak_c, gradient_bound,
                                   sharp_constant_report)
+from ballgrad.exceptions import EvaluationError, QuadratureError
 from ballgrad.proofcheck import VerificationReport
 from test_kernelint import C_N3_REF
 
@@ -346,6 +347,9 @@ def test_verify_tol_recorded_under_the_key_it_overrides(capsys, suite, key):
     ("curve", "--quantity", "c_of_z", "--z-max", "nan"),
     ("curve", "--quantity", "c_of_z", "--z-max", "inf"),
     ("curve", "--n", "5"),
+    ("curve", "--quantity", "c_of_z", "--r", "1"),
+    ("oracle", "--r", "1"),
+    ("oracle", "--r", "0.5", "--theta", "2"),
     ("verify", "--json", "identities"),
     # Monte Carlo is a library cross-check: no command takes its options
     ("verify", "conjecture", "--method", "product-gauss"),
@@ -479,6 +483,23 @@ def test_dimension_past_the_gamma_overflow_exits_three(capsys, command):
     assert code == 3
     assert out == ""
     assert err.startswith("evaluation failed: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (("constant", "--n", "3", "--r", "0"), "quadrature values for n=3 need 0 < r < 1"),
+    (("curve", "--r-min", "0.6", "--r-max", "0.2"), "bad radius range [0.6, 0.2]"),
+])
+def test_radii_outside_the_command_domain_exit_two(capsys, argv, reason):
+    assert run_cli(capsys, *argv) == (2, "", f"usage error: {reason}\n")
+
+
+@pytest.mark.parametrize("error", [QuadratureError, EvaluationError])
+def test_typed_numerical_failure_exits_three(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("budget spent")
+
+    monkeypatch.setattr(proofcheck, "sup_reports", fail)
+    assert run_cli(capsys, "verify", "sup") == (3, "", "numerical failure: budget spent\n")
 
 
 def test_oracle_rejects_z_option(capsys):

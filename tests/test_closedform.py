@@ -118,6 +118,8 @@ def test_c_at_zero_frozen(r, expected):
 def test_c_at_zero_is_frak_over_one_plus_r():
     for r in (0.1, 0.25, 0.5, 0.75, 0.97):
         assert math.isclose(c_at_zero(r), frak_c(r) / (1.0 + r), rel_tol=1e-14)
+    with pytest.raises(ValueError, match="got 0.0"):
+        c_at_zero(0.0)
 
 
 def test_gradient_bound_frozen():

@@ -84,17 +84,23 @@ def test_quadrature_rejects_a_radius_mismatch(call):
         call(EvalPoint(0.5, 0.7), ParamSet.from_radius(0.3, 4))
 
 
+@pytest.mark.parametrize("sign", [0, 2, -0.5])
+def test_psi_numeric_rejects_a_sign_other_than_one(sign):
+    with pytest.raises(ValueError, match="sign must be"):
+        psi_numeric(EvalPoint(0.5, 0.7), sign, ParamSet.from_radius(0.5, 4))
+
+
 def test_quadrature_spec_validation():
     q = QuadratureSpec()
-    assert q.endpoint_mode == "regular"
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0.0)  # below the 16-eps floor
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
+    assert [f.name for f in dataclasses.fields(q)] == ["tol", "endpoint_mode"]
+    assert (q.tol, q.endpoint_mode) == (1e-12, "regular")
+    QuadratureSpec(tol=16.0 * np.finfo(float).eps)  # the floor itself is allowed
+    # a NaN or infinite tolerance would pass the first round's estimate
+    for tol in (math.nan, math.inf, -math.inf, 0.0, 15.0 * np.finfo(float).eps, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            QuadratureSpec(tol=tol)
     with pytest.raises(ValueError):
         QuadratureSpec(endpoint_mode="nope")
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_subdivisions=0)
 
 
 # ---- adaptive Gauss-Kronrod engine ----------------------------------------
@@ -126,7 +132,7 @@ def test_adaptive_quad_upper_endpoint_singularity():
 def test_adaptive_quad_exhaustion_raises():
     f = lambda x: np.maximum(x, 1e-300) ** -0.99
     with pytest.raises(QuadratureError) as exc:
-        adaptive_quad(f, 0.0, 1.0, QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
+        adaptive_quad(f, 0.0, 1.0, QuadratureSpec(tol=1e-13))
     # partial result and its error estimate ride along on the exception
     assert exc.value.value is not None
     assert exc.value.err_estimate > 1e-13
@@ -154,8 +160,8 @@ def test_adaptive_quad_vector_mode_matches_scalar_calls(a, b):
     assert vals.shape == errs.shape == (len(BATCH),)
     for i, f in enumerate(BATCH):
         ref, _ = adaptive_quad(f, a, b, q)
-        assert abs(vals[i] - ref) <= max(q.abs_tol, q.rel_tol * abs(ref)), i
-        assert errs[i] <= max(q.abs_tol, q.rel_tol * abs(vals[i])), i
+        assert abs(vals[i] - ref) <= max(q.tol, q.tol * abs(ref)), i
+        assert errs[i] <= max(q.tol, q.tol * abs(vals[i])), i
 
 
 def test_adaptive_quad_vector_mode_names_the_component_that_missed():
@@ -163,7 +169,7 @@ def test_adaptive_quad_vector_mode_names_the_component_that_missed():
         return np.stack([x * x, np.maximum(x, 1e-300) ** -0.99, np.sin(x)])
 
     with pytest.raises(QuadratureError, match=r"components \[1\]") as exc:
-        adaptive_quad(f, 0.0, 1.0, QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
+        adaptive_quad(f, 0.0, 1.0, QuadratureSpec(tol=1e-13))
     assert exc.value.value.shape == exc.value.err_estimate.shape == (3,)
     assert exc.value.err_estimate[1] > 1e-13
 
@@ -178,7 +184,7 @@ def test_adaptive_quad_one_integral_is_a_one_row_batch():
 
     g = lambda x: np.maximum(x, 1e-300) ** -0.99
     with pytest.raises(QuadratureError, match="panels \\(") as exc:
-        adaptive_quad(g, 0.0, 1.0, QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
+        adaptive_quad(g, 0.0, 1.0, QuadratureSpec(tol=1e-13))
     assert type(exc.value.value) is float
     assert type(exc.value.err_estimate) is float
 
@@ -252,11 +258,12 @@ def test_adaptive_quad_evaluates_each_round_in_one_call():
 
 
 @pytest.mark.parametrize("budget", [1, 2, 7, 37])
-def test_adaptive_quad_stops_at_exactly_max_subdivisions(budget):
+def test_adaptive_quad_stops_at_exactly_max_subdivisions(monkeypatch, budget):
     def f(x):
         return np.stack([x * x, np.maximum(x, 1e-300) ** -0.99, np.sin(x)])
 
-    q = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=budget)
+    monkeypatch.setattr(kernelint, "_MAX_PANELS", budget)
+    q = QuadratureSpec(tol=1e-13)
     calls = []
     with pytest.raises(QuadratureError,
                        match=rf"after {budget} panels in components \[1\]"):
@@ -286,11 +293,11 @@ def test_psi_numeric_arr_matches_one_quadrature_per_z(n, r):
     Psi(z), every one within its own tolerance."""
     ps = ParamSet.from_radius(r, n)
     zs = np.array([0.7, -0.7, 0.0, 2.5, 0.7, -50.0, 0.0, 50.0, -0.03, 2.5])
-    q = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)  # psi_numeric's default
-    vals, errs = _psi_numeric_arr(zs, ps, q)
+    q = QuadratureSpec(tol=1e-13)  # psi_numeric's tolerance
+    vals, errs = _psi_numeric_arr(zs, ps)
     refs = np.array([_psi_per_z(z, ps, q)[0] for z in zs.tolist()])
     assert np.all(np.abs(vals - refs) <= 1e-13 * np.abs(refs))
-    assert np.all(errs <= np.maximum(q.abs_tol, q.rel_tol * np.abs(vals)))
+    assert np.all(errs <= np.maximum(q.tol, q.tol * np.abs(vals)))
     assert vals[0] == vals[4] and vals[2] == vals[6]
 
 
@@ -299,8 +306,7 @@ def test_psi_numeric_arr_matches_one_quadrature_per_z(n, r):
 def test_psi_numeric_arr_agrees_with_scalar_loop(n, r):
     ps = ParamSet.from_radius(r, n)
     zs = np.array([0.0, 1e-7, 0.7, 6.0])
-    q = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)  # psi_numeric's default
-    vals, errs = _psi_numeric_arr(np.concatenate([zs, -zs]), ps, q)
+    vals, errs = _psi_numeric_arr(np.concatenate([zs, -zs]), ps)
     refs = [psi_numeric(EvalPoint(r, z), sign, ps)[0]
             for sign in (1, -1) for z in zs.tolist()]
     assert np.all(np.abs(vals - refs) <= 1e-12 * (1.0 + np.abs(refs)))
@@ -414,6 +420,19 @@ def test_c_numeric_odd_dimension_matches_the_oracle_at_the_axis(n, r):
     val, _ = c_numeric(EvalPoint(r, 0.0), ParamSet.from_radius(r, n))
     ref = (1.0 - r) * _polar_integrals(n, r, _polar_pieces(n, r, [0.0]), 200)[0]
     assert abs(val - ref) / ref < 5e-14
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: at n = 100 each profile integral is about 1e-13, so the "
+    "absolute floor of max(tol, tol*|I|) passes it 4.8e-7 off (ROADMAP item 15)"))
+def test_c_numeric_meets_the_oracle_at_high_dimension():
+    """C(0, r) = (1 - r) C_oracle(n, r, 0) holds in every dimension; at
+    n = 100, r = 0.5 c_numeric is 5.1e-7 off the oracle, whose 48-, 200-
+    and 400-node values agree to 2e-16."""
+    n, r = 100, 0.5
+    val, _ = c_numeric(EvalPoint(r, 0.0), ParamSet.from_radius(r, n))
+    ref = (1.0 - r) * _polar_integrals(n, r, _polar_pieces(n, r, [0.0]), 200)[0]
+    assert abs(val - ref) / ref < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])

@@ -27,7 +27,7 @@ from ballgrad import (
 from ballgrad import _kernels_py, poisson_oracle
 from ballgrad._kernels_py import grad_dot_batch
 from ballgrad.closedform4 import _c_closed_arr
-from ballgrad.kernelint import ParamSet, QuadratureSpec, c_numeric, sphere_area
+from ballgrad.kernelint import ParamSet, c_numeric, sphere_area
 from ballgrad.cli import main
 from ballgrad.proofcheck import conjecture_report, locate_sup
 from ballgrad.poisson_oracle import (
@@ -82,8 +82,7 @@ def test_radial_direction_matches_quadrature(n):
     """Independent paths: sphere product rule vs profile-integral quadrature."""
     r = 0.45
     got = directional_constant(DirectionalQuery(n, r, 0.0), SQ)
-    val, _ = c_numeric(EvalPoint(r, 0.0), ParamSet.from_radius(r, n),
-                       QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11))
+    val, _ = c_numeric(EvalPoint(r, 0.0), ParamSet.from_radius(r, n))
     assert abs(got - val / (1.0 - r)) / got < 1e-9
 
 
@@ -196,6 +195,7 @@ def test_monte_carlo_reproducible_and_consistent():
     v3, _ = directional_constant_with_error(
         q, SphereQuadrature(method="monte_carlo", samples=200_000, seed=12))
     assert v1 != v3
+    assert directional_constant(q, mc) == v1
     exact = directional_constant(q, SQ)
     assert s1 > 0.0
     assert abs(v1 - exact) < 5.0 * s1
@@ -278,12 +278,18 @@ def test_validation():
         DirectionalQuery(4, 0.5, 2.0)
     with pytest.raises(ValueError):
         SphereQuadrature(method="bogus")
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        SphereQuadrature(samples=1)
+    with pytest.raises(ValueError, match="nonempty"):
+        best_direction(4, 0.5, [])
     with pytest.raises(ValueError):
         directional_constant_vector(np.array([1.2, 0, 0, 0]), np.ones(4), SQ)
     with pytest.raises(ValueError):
         directional_constant_vector(np.zeros(4), np.zeros(4), SQ)
     with pytest.raises(ValueError):
         kernel_mass(0.5, 1)
+    with pytest.raises(ValueError, match="got 1.0"):
+        kernel_mass(1.0, 4)
 
 
 def test_poisson_kernel_pointwise():
@@ -294,6 +300,8 @@ def test_poisson_kernel_pointwise():
     assert poisson_kernel(np.zeros(4), zeta, 4) == 1.0
     with pytest.raises(ValueError):
         poisson_kernel(x, 0.5 * zeta, 4)  # zeta must sit on the sphere
+    with pytest.raises(ValueError, match="unit sphere"):
+        poisson_gradient(x, 0.5 * zeta, 4)
 
 
 def test_poisson_gradient_matches_finite_differences():

@@ -200,6 +200,34 @@ def test_detects_a_broken_inequality():
     assert rep.worst_violation > 0.5
 
 
+def _raise(*args):
+    raise ZeroDivisionError("side blew up")
+
+
+def _bad_case(kind, lhs):
+    # r on linspace(0, 1, 11) for the inequality checker's grid
+    return IdentityCase(name=f"bad_{kind}", lhs=lhs, rhs=lambda r: 0.0 * r,
+                        domain=(("r", 0.0, 1.0),), kind=kind, grid_shape=(11,))
+
+
+@pytest.mark.parametrize("check,kind,lhs,error,match", [
+    (check_derivative_identity, "pointwise_leq", np.sin, ValueError,
+     "bad_pointwise_leq is an inequality; use check_inequality"),
+    (check_inequality, "pointwise_equal", np.sin, ValueError,
+     "bad_pointwise_equal is not an inequality case"),
+    (check_derivative_identity, "pointwise_equal", _raise, EvaluationError,
+     "bad_pointwise_equal: evaluation failed: side blew up"),
+    (check_inequality, "pointwise_leq", _raise, EvaluationError,
+     "bad_pointwise_leq: evaluation failed: side blew up"),
+    (check_inequality, "pointwise_leq", lambda r: np.where(r > 0.45, np.nan, r),
+     EvaluationError, r"bad_pointwise_leq: non-finite value at \(0\.5,\)$"),
+], ids=["identity_of_inequality", "inequality_of_identity",
+        "identity_side_raises", "inequality_side_raises", "first_non_finite"])
+def test_checkers_reject_bad_cases_by_name(check, kind, lhs, error, match):
+    with pytest.raises(error, match=match):
+        check(_bad_case(kind, lhs))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 64, 1024])
 def test_sobol_sample_matches_scipy(n, d):
@@ -456,7 +484,8 @@ def test_locate_sup_runaway_window_names_the_radius(monkeypatch):
 
 @pytest.mark.parametrize("r,named", [(0.0, "0.0"), (1.0, "1.0"), (1.5, "1.5"),
                                      (-0.2, "-0.2"), (math.nan, "nan"),
-                                     (np.array([0.3, 1.0, 0.5]), "1.0")])
+                                     (np.array([0.3, 1.0, 0.5]), "1.0"),
+                                     (np.full((2, 2), 0.5), "shape (2, 2)")])
 def test_locate_sup_rejects_radii_outside_the_ball(monkeypatch, r, named):
     def unreachable(*args):
         raise AssertionError("evaluated before the radii were checked")

@@ -7,7 +7,8 @@ attribute of another package module it holds as an object, every
 ``meshgrid`` call builds an open mesh (``sparse=True``), no module but
 ``poisson_oracle.py`` names the Monte Carlo method, and no module but
 ``poisson_oracle.py`` and the ``__init__.py`` re-export names
-``SphereQuadrature``.
+``SphereQuadrature``, and none but ``kernelint.py`` and the re-export
+names ``QuadratureSpec``.
 """
 
 import ast
@@ -146,10 +147,18 @@ def test_name_use_is_found():
     assert _name_uses(source, "SphereQuadrature") == [1, 4, 6]
 
 
+# each configuration class and the one module that may name it
+_OWNERS = {"SphereQuadrature": "poisson_oracle.py", "QuadratureSpec": "kernelint.py"}
+
+
 @pytest.mark.parametrize("module", ["__init__.py", *MODULES])
 def test_sphere_quadrature_named_only_by_the_oracle(module):
     """The product rule takes no configuration: only the single queries'
     Monte Carlo branches read a ``SphereQuadrature``, so no other module
-    builds or passes one."""
-    found = _name_uses((PACKAGE / module).read_text(), "SphereQuadrature")
-    assert found == [] or module in ("poisson_oracle.py", "__init__.py")
+    builds or passes one.  Likewise the quadrature engine's settings are
+    fixed inside ``kernelint``: no other module builds a
+    ``QuadratureSpec``."""
+    source = (PACKAGE / module).read_text()
+    for name, owner in _OWNERS.items():
+        found = _name_uses(source, name)
+        assert found == [] or module in (owner, "__init__.py"), name
