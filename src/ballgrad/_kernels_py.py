@@ -46,8 +46,8 @@ def grad_dot_batch(cphi, sphi, u, r, n, ct, st):
     rho2 = 1.0 - 2.0 * r * cphi + r * r
     xv = r * ct
     xz_v = xv - (cphi * ct + sphi * u * st)
-    return -2.0 * xv / rho2 ** (n / 2.0) \
-        - n * (1.0 - r * r) * xz_v / rho2 ** (n / 2.0 + 1.0)
+    return (-2.0 * xv * rho2 - n * (1.0 - r * r) * xz_v) \
+        / rho2 ** (n / 2.0 + 1.0)
 
 
 def polar_integrand_batch(sphi, alpha, beta, rho2, n):

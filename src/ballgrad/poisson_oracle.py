@@ -34,11 +34,11 @@ Monte Carlo is a single-query cross-check: ``directional_constant``
 and ``directional_constant_with_error`` take it through a
 ``SphereQuadrature``, which only their Monte Carlo branches read, and
 every profile (``direction_profile``, ``best_direction``) is the
-product rule's.  It draws its Philox normals in blocks of _BLOCK whole
-rows; each block is normalized and only its two coordinates that the
-kernel reads, zeta_n and zeta_1 over |zeta|, go to the kernel, so the
-estimate equals that of one (samples, n) draw bit for bit.  The kernel's |F| goes into one
-array, whose standard error is taken in place, so a query's other
+product rule's.  The kernel reads only zeta_n and zeta_1 of the sample,
+so each sample draws two Philox normals and one chi-square for the rest
+of its squared norm, in blocks of _BLOCK rows, and the estimate equals
+that of one whole-sample draw bit for bit.  The kernel's |F| goes into
+one array, whose standard error is taken in place, so a query's other
 temporaries stay a block's size.
 """
 
@@ -289,24 +289,31 @@ def direction_profile(n, r, thetas):
 def _mc_constant(q, sq):
     """The Monte Carlo estimate of C(x, v) and its standard error.
 
-    The Philox normals are drawn in whole rows, _BLOCK rows at a time,
-    which continues the one-shot (samples, n) stream bit for bit; each
-    block's norm is the left fold over its squared columns, as
-    np.linalg.norm(axis=1) sums them.
+    zeta = g/|g| for g standard normal in R^n, and the kernel reads only
+    zeta_n and zeta_1, so each sample draws g_1 and g_n as one row of a
+    Philox normal block and the rest of |g|^2, a chi-square with n - 2
+    degrees of freedom independent of them, as 2 Gamma((n-2)/2) from the
+    seed's jumped stream.  Both streams are drawn _BLOCK rows at a time,
+    which continues their one-shot draws bit for bit.
     """
     n, r, samples = q.n, q.r, sq.samples
     ct, st = math.cos(q.theta), math.sin(q.theta)
-    rng = np.random.Generator(np.random.Philox(sq.seed))
+    bits = np.random.Philox(sq.seed)
+    # jumped from the seed's state, before the normals advance it
+    chi2 = np.random.Generator(bits.jumped())
+    rng = np.random.Generator(bits)
     kern = backend.get_backend()
     g = np.empty(samples)
     for start in range(0, samples, _BLOCK):
         rows = slice(start, min(start + _BLOCK, samples))
-        block = rng.standard_normal((rows.stop - start, n))
-        norm = block[:, 0] ** 2
-        for j in range(1, n):
-            norm += block[:, j] ** 2
+        size = rows.stop - start
+        pair = rng.standard_normal((size, 2))
+        norm = chi2.standard_gamma(0.5 * (n - 2), size)
+        norm *= 2.0
+        norm += pair[:, 0] ** 2
+        norm += pair[:, 1] ** 2
         np.sqrt(norm, out=norm)
-        F = kern.grad_dot_batch(block[:, n - 1] / norm, block[:, 0] / norm,
+        F = kern.grad_dot_batch(pair[:, 1] / norm, pair[:, 0] / norm,
                                 1.0, r, n, ct, st)
         np.abs(F, out=g[rows])
     # np.mean and np.std(ddof=1), step by step, with g's deviations and
