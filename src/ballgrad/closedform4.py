@@ -55,15 +55,6 @@ class EvalPoint:
             raise ValueError(f"z must be >= 0, got {self.z}")
 
 
-@dataclass(frozen=True)
-class SharpConstantReport:
-    r: float
-    frak_c: float
-    c_at_zero: float
-    gradient_bound: float
-    method: str  # "closed_form" | "series_branch"
-
-
 def _as_array(x):
     # float64, or complex as given (a complex step); float64 is not copied
     x = np.asarray(x)
@@ -375,14 +366,3 @@ def disk_constant(r):
         raise ValueError(f"r must lie in [0, 1), got {r}")
     return (4.0 / math.pi) / (1.0 - r * r)
 
-
-def sharp_constant_report(r):
-    """Bundle frak_c, c_at_zero and the gradient bound for one radius."""
-    if not (0.0 <= r < 1.0):
-        raise ValueError(f"r must lie in [0, 1), got {r}")
-    fc = frak_c(r)
-    gb = float(_gradient_bound_arr(r))
-    c0 = float(_c_at_zero_arr(r))
-    method = "series_branch" if r < SERIES_R_THRESHOLD else "closed_form"
-    return SharpConstantReport(r=r, frak_c=fc, c_at_zero=c0,
-                               gradient_bound=gb, method=method)

@@ -272,8 +272,8 @@ def _polar_integrals(n, r, pieces, nodes):
                                    (1.0 - r) ** 2 + 4.0 * r * h2, n)
     scale = 0.5 / math.pi if n == 2 else sphere_area(n - 2) / sphere_area(n)
     # one (pieces, nodes) product per angle, so an angle's sums are those of
-    # its own query; its correctly rounded total leaves last-bit changes of
-    # the query (theta from directional_constant_vector) bit-equal more often
+    # its own query; the total over its pieces is rounded once (math.fsum),
+    # so no summation order moves it, and the census outputs were made so
     return [scale * math.fsum(row) for row in (width * (f @ w)).tolist()]
 
 
@@ -350,28 +350,6 @@ def directional_constant_with_error(q, sq=SphereQuadrature()):
     return values[0], _error_proxies(q.n, q.r, pieces, values)[0]
 
 
-def directional_constant_vector(x, v, sq=SphereQuadrature()):
-    """C(x, v) for an arbitrary interior point and direction vector.
-
-    Canonicalizes by rotational symmetry: only |x| and the angle between
-    v and the outward normal at x matter; the angle is folded into
-    [0, pi/2] using C(x, v) = C(x, -v).
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = x.size
-    r = float(np.linalg.norm(x))
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        raise ValueError("direction vector must be nonzero")
-    if r == 0.0:
-        theta = 0.0  # every direction is normal at the center
-    else:
-        c = float(np.clip((x @ v) / (r * nv), -1.0, 1.0))
-        theta = math.acos(abs(c))
-    return directional_constant(DirectionalQuery(n=n, r=r, theta=theta), sq)
-
-
 @dataclass(frozen=True)
 class BestDirection:
     theta_star: float
@@ -403,13 +381,6 @@ def best_direction(n, r, theta_grid):
     return BestDirection(theta_star=thetas[star],
                          profile=tuple(zip(thetas, values)),
                          allowance=err[zero] + err[star] + 1e-9)
-
-
-def extremal_check(n, r):
-    """The theta = 0 product-rule query: the boundary data
-    sign<grad P, e_n> attains the normal-direction constant, the integral
-    of |<grad P, e_n>|."""
-    return direction_profile(n, r, (0.0,))[0]
 
 
 def kernel_mass(r, n):

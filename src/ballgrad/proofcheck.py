@@ -68,9 +68,6 @@ DERIVATIVE_SUITE = ("r_prime_eq_q", "u_prime", "u1_prime", "vu_combination",
                     "x_antiderivative", "l_prime", "g1_prime", "h2_prime",
                     "v_prime")
 
-IDENTITY_CASE_COUNT = 13
-INEQUALITY_CASE_COUNT = 13
-
 
 @dataclass(frozen=True)
 class IdentityCase:
@@ -196,12 +193,6 @@ def _first_max(case, values, coords):
         raise EvaluationError(f"{case.name}: non-finite value at {where}")
     i = int(np.argmax(values))
     return float(values.flat[i]), tuple(float(c.flat[i]) for c in coords)
-
-
-def case_deviation(case, point):
-    """Deviation of a single identity case at one explicit point."""
-    args = tuple(float(x) for x in point)
-    return float(_deviation(_lhs_value(case, args), case.rhs(*args)))
 
 
 def check_derivative_identity(case, n_points=1024, tolerance=1e-7):
@@ -451,12 +442,8 @@ def _h2_mag_zero(r):
     return 2.0 * np.arctan(r * np.sqrt(4.0 - r * r) / (2.0 - r * r))
 
 
-def _h1_of(r, z):
-    return _h1(*_c_terms(r, z))
-
-
 def _chain_line2(r, z):
-    return _chain_coef(r, z) * (_h1_of(r, z) + _h2_mag_zero(r))
+    return _chain_coef(r, z) * (_h1(*_c_terms(r, z)) + _h2_mag_zero(r))
 
 
 def _chain_line3(r, z):

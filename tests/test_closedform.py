@@ -29,7 +29,6 @@ from ballgrad import (
     gradient_bound,
     halfspace_constant,
     psi_closed,
-    sharp_constant_report,
     v_certificate,
 )
 from ballgrad import closedform4
@@ -459,26 +458,6 @@ def test_disk_constant():
     assert math.isclose(disk_constant(0.5), (4.0 / math.pi) / 0.75, rel_tol=1e-15)
     with pytest.raises(ValueError):
         disk_constant(1.0)
-
-
-def test_sharp_constant_report():
-    rep = sharp_constant_report(0.5)
-    assert rep.method == "closed_form"
-    assert math.isclose(rep.frak_c, frak_c(0.5), rel_tol=1e-15)
-    assert math.isclose(rep.c_at_zero, rep.frak_c / 1.5, rel_tol=1e-15)
-    assert math.isclose(rep.gradient_bound, rep.frak_c / 0.75, rel_tol=1e-15)
-    assert sharp_constant_report(5e-4).method == "series_branch"
-    with pytest.raises(ValueError):
-        sharp_constant_report(1.0)
-
-
-def test_sharp_constant_report_carries_the_library_values():
-    # frak_c/(1 + r) rounds differently from c_at_zero at about half of
-    # these radii; the report must carry the library's own numbers
-    for r in np.linspace(1e-3, 0.999, 999).tolist():
-        rep = sharp_constant_report(r)
-        assert rep.c_at_zero == c_at_zero(r), r
-        assert rep.gradient_bound == gradient_bound(r), r
 
 
 def test_endpoint_calls_are_fast():

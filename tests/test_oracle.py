@@ -39,9 +39,7 @@ from ballgrad.poisson_oracle import (
     best_direction,
     direction_profile,
     directional_constant,
-    directional_constant_vector,
     directional_constant_with_error,
-    extremal_check,
     kernel_mass,
     poisson_gradient,
     poisson_kernel,
@@ -143,14 +141,6 @@ def test_near_tangential_continuity():
     assert abs(a - b) < 1e-3
 
 
-def test_extremal_check_consistent():
-    """Sign-resolved integration reproduces |.|-integration at theta = 0."""
-    for n, r in ((4, 0.5), (3, 0.3)):
-        a = extremal_check(n, r)
-        b = directional_constant(DirectionalQuery(n, r, 0.0), SQ)
-        assert abs(a - b) / b < 1e-13
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 @pytest.mark.parametrize("r", [0.0, 0.5, 0.95])
 def test_kernel_mass_is_one(n, r):
@@ -166,24 +156,10 @@ def test_disk_direction_independence():
 
 
 def test_center_constant_direction_free():
-    """At the center every direction is normal: the vector interface
-    folds to theta = 0, whose value at 128 nodes per piece is 16/(3 pi)."""
-    v = np.array([0.3, -1.0, 0.2, 0.5])
-    assert directional_constant_vector(np.zeros(4), v, SQ) \
-        == directional_constant(DirectionalQuery(4, 0.0, 0.0), SQ)
+    """At the center every direction is normal, and the theta = 0 value
+    at 128 nodes per piece is 16/(3 pi)."""
     got = _polar_integrals(4, 0.0, _polar_pieces(4, 0.0, [0.0]), 128)[0]
     assert abs(got - 16.0 / (3.0 * math.pi)) < 1e-12
-
-
-def test_vector_interface_folds_to_canonical_query():
-    # cos theta = 0.8 for each vector: (x . v) / (|x| |v|) rounds to the
-    # literal 0.8, so the folded angle is acos(0.8) exactly
-    e2, e3 = np.eye(4)[1], np.eye(4)[2]
-    x = -0.5 * e2
-    ref = directional_constant(DirectionalQuery(4, 0.5, math.acos(0.8)), SQ)
-    assert directional_constant_vector(x, -4.0 * e2 + 3.0 * e3, SQ) == ref
-    assert directional_constant_vector(x, -12.0 * e2 + 9.0 * e3, SQ) == ref  # scale-free
-    assert directional_constant_vector(x, 4.0 * e2 - 3.0 * e3, SQ) == ref   # obtuse folds
 
 
 def test_monte_carlo_reproducible_and_consistent():
@@ -332,10 +308,6 @@ def test_validation():
         SphereQuadrature(samples=1)
     with pytest.raises(ValueError, match="nonempty"):
         best_direction(4, 0.5, [])
-    with pytest.raises(ValueError):
-        directional_constant_vector(np.array([1.2, 0, 0, 0]), np.ones(4), SQ)
-    with pytest.raises(ValueError):
-        directional_constant_vector(np.zeros(4), np.zeros(4), SQ)
     with pytest.raises(ValueError):
         kernel_mass(0.5, 1)
     with pytest.raises(ValueError, match="got 1.0"):

@@ -27,8 +27,10 @@ def test_readme_has_python_examples():
     assert all(">>>" in body for _, body in blocks)
 
 
-@pytest.mark.parametrize("lineno,body", _python_blocks(),
-                         ids=[f"line{lineno}" for lineno, _ in _python_blocks()])
+# ids by ordinal, not by line: an edit above a block keeps its test's name
+@pytest.mark.parametrize("lineno,body", [
+    pytest.param(*block, id=f"example{i}")
+    for i, block in enumerate(_python_blocks(), 1)])
 def test_readme_examples(lineno, body):
     test = doctest.DocTestParser().get_doctest(
         body, {}, f"README.md:{lineno}", str(README), lineno - 1)
